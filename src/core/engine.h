@@ -69,16 +69,6 @@ struct DeviceConfig {
   spad::OverlapPolicy overlap = spad::OverlapPolicy::kAuto;
 };
 
-/// Byte traffic of one tile's scratchpad feed, recorded by the tile task and
-/// costed into the per-chip DMA schedule: `in_a` streams through mvin,
-/// `in_b` through preload (0 when the tile reuses an already-staged block),
-/// `out` drains through mvout.
-struct TileTraffic {
-  double in_a = 0;
-  double in_b = 0;
-  double out = 0;
-};
-
 /// Aggregate execution statistics for one engine operation, summed over all
 /// tiled passes.
 struct ExecStats {
@@ -192,8 +182,6 @@ struct ExecStats {
                : static_cast<double>(makespan_cycles) /
                      static_cast<double>(memory_makespan_cycles);
   }
-
-  void AccumulatePass(const arrays::ArrayRunInfo& info);
 };
 
 /// Result of one engine operation.
@@ -296,52 +284,53 @@ class Engine {
   /// the B side (which differs from A in fixed mode).
   size_t BlockCapacity(arrays::FeedMode mode, bool bottom) const;
 
-  /// Runs `count` independent tile tasks — across the chip pool when the
-  /// device has several chips, serially in tile order otherwise — and
-  /// returns the lowest-tile-index non-OK status. Tasks receive (tile,
-  /// chip) and must write results only into their own tile's slots; callers
-  /// merge in tile order afterwards, which is what keeps parallel output
-  /// bit-identical to serial. Tasks must be re-runnable for one tile (reset
-  /// their slot on entry): with a fault plan installed every attempt runs
-  /// inside a faults::FaultScope, detected failures are retried on the next
-  /// usable chip (striking / quarantining per the recovery policy, hard
-  /// Unavailable only when no usable chip remains), fault counters are
-  /// folded into `stats`, and `tile_checksum` (checksum of tile's slot, for
-  /// the sampled shadow re-execution cross-check) may be consulted.
-  Status RunTiled(size_t count,
-                  const std::function<Status(size_t tile, size_t chip)>& task,
-                  ExecStats* stats = nullptr,
-                  const std::function<uint64_t(size_t tile)>& tile_checksum =
-                      nullptr) const;
+  /// The tile program of one operation (defined in the .cc): the tiles
+  /// with their A and B operand ranges, plus the trivial passes an empty
+  /// operand charges.
+  struct TilePlan;
+  /// One tile's pass record and the bytes its feed moved.
+  struct TilePass;
+  /// A family's per-tile kernel: runs tile `tile` on the blocks staged from
+  /// its operand ranges under the resolved executor, and writes its result
+  /// into the family's slot for `tile` (overwriting, so it is re-runnable).
+  using TileKernel = std::function<Result<TilePass>(
+      size_t tile, const rel::Relation& a, const rel::Relation& b,
+      fastpath::Backend backend)>;
 
-  /// Folds per-tile pass records into `stats` in tile order: sums passes /
-  /// cycles / busy cell-pulses exactly as the serial path would, and adds
-  /// the greedy multi-chip makespan of the batch to `makespan_cycles`.
-  /// `traffic` (parallel to `infos`) then costs each tile's scratchpad feed
-  /// into its assigned chip's DMA schedule via AccountDma.
-  void MergePassInfos(const std::vector<arrays::ArrayRunInfo>& infos,
-                      const std::vector<TileTraffic>& traffic,
+  /// Runs `plan`: the one site that stamps backend, feed mode, overlap,
+  /// num_chips and healthy_chips into `stats`, stages every tile's operand
+  /// ranges through scratchpad banks, runs `kernel` per tile under
+  /// RunTiled's fault handling (`checksum` reads a tile's slot for the
+  /// shadow cross-check), and folds passes, cycles, makespan and the
+  /// per-chip DMA schedules in tile order. The caller then reduces its
+  /// slots.
+  Status ExecuteTiles(const TilePlan& plan, const TileKernel& kernel,
+                      const std::function<uint64_t(size_t tile)>& checksum,
                       ExecStats* stats) const;
 
-  /// Builds one DmaQueue per chip from each tile's compute cycles + feed
-  /// traffic (tiles in tile order on their assigned chip), schedules them
-  /// under ResolveOverlap(), and folds dma_cycles / overlap_cycles /
-  /// memory_makespan_cycles / dma_trace into `stats`. `chip_of_tile` is the
-  /// greedy assignment MergePassInfos derived (all zeros for one chip).
-  void AccountDma(const std::vector<arrays::ArrayRunInfo>& infos,
-                  const std::vector<TileTraffic>& traffic,
-                  const std::vector<size_t>& chip_of_tile,
+  /// Runs `count` independent tile tasks — across the chip pool when the
+  /// device has several chips, serially in tile order otherwise — and
+  /// returns the lowest-tile-index non-OK status. Tasks must write results
+  /// only into their own tile's slot and be re-runnable for one tile: with
+  /// a fault plan installed every attempt runs inside a faults::FaultScope,
+  /// detected failures are retried on the next usable chip (striking /
+  /// quarantining per the recovery policy, hard Unavailable only when no
+  /// usable chip remains), fault counters are folded into `stats`, and
+  /// `tile_checksum` (checksum of a tile's slot, for the sampled shadow
+  /// re-execution cross-check) may be consulted.
+  Status RunTiled(size_t count, const std::function<Status(size_t tile)>& task,
+                  const std::function<uint64_t(size_t tile)>& tile_checksum,
                   ExecStats* stats) const;
 
   /// Width check against device_.columns.
   Status CheckWidth(size_t width) const;
 
-  /// OR-accumulating membership over all (A-block, B-block) tile pairs:
-  /// returns per-A-tuple bits of "matches something in B" under the edge
-  /// rule selected by `dedup` (see .cc).
-  Result<BitVector> TiledMembership(const rel::Relation& a,
-                                    const rel::Relation& b, bool dedup,
-                                    ExecStats* stats) const;
+  /// The membership family (intersect, difference, dedup): per-A-tuple bits
+  /// of "matches something in B", OR-accumulated over the (A-block,
+  /// B-block) tiles under the edge rule selected by `dedup` (see .cc).
+  Result<BitVector> MembershipBits(const rel::Relation& a,
+                                   const rel::Relation& b, bool dedup,
+                                   ExecStats* stats) const;
 
   /// Modeled total pulses of a membership pass structure under `mode`.
   double EstimatePulses(arrays::FeedMode mode, size_t n_a, size_t n_b,

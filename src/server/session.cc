@@ -52,6 +52,14 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
   context.isolation = "snapshot";
   context.queue_depth = [this] { return scheduler_->queue_depth(); };
   context.durability_stats = [this] { return durability_stats_; };
+  context.checkpoint = [this]() -> Status {
+    if (!catalog_->durable()) {
+      return Status::NotFound("the server has no durable directory");
+    }
+    SYSTOLIC_RETURN_NOT_OK(catalog_->Checkpoint());
+    ++durability_stats_.checkpoints;
+    return Status::OK();
+  };
   interpreter_.set_session(std::move(context));
   RefreshSnapshot();
 }

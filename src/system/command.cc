@@ -654,6 +654,11 @@ Status CommandInterpreter::Execute(const std::string& line) {
     if (tokens.size() != 1) {
       return Status::InvalidArgument("usage: CHECKPOINT");
     }
+    if (has_session_ && session_.checkpoint != nullptr) {
+      SYSTOLIC_RETURN_NOT_OK(session_.checkpoint());
+      (*out_) << "-- checkpoint: shared catalog, wal reset\n";
+      return Status::OK();
+    }
     durability::DurableCatalog* durable = machine_->durable();
     if (durable == nullptr) {
       return Status::NotFound(

@@ -30,6 +30,9 @@ struct SessionContext {
   /// Per-session durability counters (records this session committed
   /// through the shared group-commit pipeline).
   std::function<durability::DurabilityStats()> durability_stats;
+  /// CHECKPOINT for a session whose machine owns no durable catalog: the
+  /// server's shared catalog rewrites its checkpoint and resets its WAL.
+  std::function<Status()> checkpoint;
 };
 
 /// A line-oriented command language over the §9 machine, for the query

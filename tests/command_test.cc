@@ -368,6 +368,32 @@ TEST_F(CommandFixture, PlannedCommitReleasesTempsAndReportsFaults) {
   EXPECT_NE(out_.str().find("-- faults: 0 detected"), std::string::npos);
 }
 
+TEST_F(CommandFixture, FaultReportStampsTheWholeDeviceOnEveryStep) {
+  MachineConfig config;
+  config.num_memories = 12;
+  config.device.num_chips = 4;
+  Machine machine(config);
+  machine.disk().Put("A", Rel(schema_, {{1, 10}, {2, 20}, {3, 30}}));
+  std::ostringstream out;
+  CommandInterpreter shell(&machine, &out);
+  std::istringstream script(
+      "SET FAULTS seed=3 rate=0\nLOAD A\n"
+      "SELECT A WHERE c0 < 3 -> S\nSELECT A WHERE c0 < 0 -> E\n"
+      "DEDUP E -> D\n");
+  ASSERT_STATUS_OK(shell.ExecuteScript(script));
+  // Selection and empty operands report the same 4/4 chips as any tiled
+  // operation: every step names the device it ran on.
+  EXPECT_EQ(out.str(),
+            "-- faults on: seed=3, rate=0, 4 chips (0 dead), strike limit 3\n"
+            "-- loaded A: 3 tuples\n"
+            "-- select -> S: 2 tuples, 1 passes, 5 pulses, 0 faults, "
+            "0 retries, 4/4 chips\n"
+            "-- select -> E: 0 tuples, 1 passes, 5 pulses, 0 faults, "
+            "0 retries, 4/4 chips\n"
+            "-- remove-duplicates -> D: 0 tuples, 0 passes, 0 pulses, "
+            "0 faults, 0 retries, 4/4 chips\n");
+}
+
 TEST_F(CommandFixture, PendingOutputNotFoundInsideTransaction) {
   ASSERT_STATUS_OK(Run("LOAD A\n"));
   // Inside a transaction, operand schemas resolve through the pending
