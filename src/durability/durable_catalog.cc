@@ -13,6 +13,7 @@ namespace {
 
 constexpr char kCurrentFileName[] = "CURRENT";
 constexpr char kCheckpointPrefix[] = "chk-";
+constexpr char kAcksFileName[] = "ACKS";
 
 std::string CheckpointName(uint64_t id) {
   return kCheckpointPrefix + std::to_string(id);
@@ -72,6 +73,10 @@ Status DurableCatalog::RecoverLocked() {
     SYSTOLIC_ASSIGN_OR_RETURN(checkpoint_id_, ParseCheckpointName(token));
     SYSTOLIC_ASSIGN_OR_RETURN(catalog_,
                               rel::LoadCatalog(Path(token)));
+    const std::string acks_path = Path(token) + "/" + kAcksFileName;
+    if (Io::Exists(acks_path)) {
+      SYSTOLIC_RETURN_NOT_OK(LoadCheckpointAcksLocked(acks_path));
+    }
     live_checkpoint = token;
   }
 
@@ -118,10 +123,7 @@ Status DurableCatalog::ReplayWalLocked(const std::string& bytes,
       }
       for (const WalRecord& r : group) {
         if (r.kind == WalRecord::Kind::kAck) {
-          RecoveredAck& ack = recovered_acks_[r.name];
-          if (r.request_id >= ack.request_id) {
-            ack = RecoveredAck{r.request_id, r.ack_records};
-          }
+          RaiseAckLocked(r);
           continue;
         }
         SYSTOLIC_RETURN_NOT_OK(ApplyWalRecord(r, catalog_.get()));
@@ -140,6 +142,34 @@ Status DurableCatalog::ReplayWalLocked(const std::string& bytes,
   wal_live_records_ = applied;
   stats_.recovered_records += applied;
   return Status::OK();
+}
+
+Status DurableCatalog::LoadCheckpointAcksLocked(const std::string& path) {
+  SYSTOLIC_ASSIGN_OR_RETURN(std::string bytes, Io::ReadFile(path));
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    const WalFrame frame = ParseFrame(bytes, offset);
+    if (!frame.complete) {
+      return Status::DataCorruption("torn frame in checkpoint acks '" + path +
+                                    "'");
+    }
+    SYSTOLIC_ASSIGN_OR_RETURN(WalRecord record,
+                              DecodeWalRecord(frame.payload));
+    if (record.kind != WalRecord::Kind::kAck) {
+      return Status::DataCorruption("non-ack record in checkpoint acks '" +
+                                    path + "'");
+    }
+    RaiseAckLocked(record);
+    offset = frame.end;
+  }
+  return Status::OK();
+}
+
+void DurableCatalog::RaiseAckLocked(const WalRecord& record) {
+  RecoveredAck& ack = acks_[record.name];
+  if (record.request_id >= ack.request_id) {
+    ack = RecoveredAck{record.request_id, record.ack_records};
+  }
 }
 
 Status DurableCatalog::ResetWalLocked() {
@@ -384,6 +414,7 @@ Status DurableCatalog::AppendGroupsLocked(
   }
   for (const MutationGroup* group : groups) {
     for (const auto& [record, payload] : *group) {
+      if (record.kind == WalRecord::Kind::kAck) RaiseAckLocked(record);
       SYSTOLIC_RETURN_NOT_OK(ApplyWalRecord(record, catalog_.get()));
     }
   }
@@ -490,6 +521,16 @@ Status DurableCatalog::Checkpoint() {
   }
   SYSTOLIC_ASSIGN_OR_RETURN(std::vector<rel::CatalogFile> files,
                             rel::SerializeCatalog(*catalog_));
+  // The reset below drops the WAL's ack records, so the checkpoint carries
+  // every token's high-water mark: a client whose commit reply was lost
+  // must still be deduplicated after a later checkpoint and a crash.
+  if (!acks_.empty()) {
+    std::string frames;
+    for (const auto& [token, ack] : acks_) {
+      AppendFrame(&frames, EncodeAck(token, ack.request_id, ack.records));
+    }
+    files.push_back(rel::CatalogFile{kAcksFileName, std::move(frames)});
+  }
   const uint64_t next = checkpoint_id_ + 1;
   const std::string chk = CheckpointName(next);
   const std::string tmp = Path(chk + ".tmp");

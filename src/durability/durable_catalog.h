@@ -42,7 +42,8 @@ struct DurabilityStats {
 /// Directory layout:
 ///   CURRENT     one line naming the live checkpoint ("chk-<n>"); absent
 ///               until the first checkpoint. Rename-swapped, never edited.
-///   chk-<n>/    a SaveCatalog-format directory (MANIFEST + CSVs).
+///   chk-<n>/    a SaveCatalog-format directory (MANIFEST + CSVs), plus an
+///               ACKS file of framed `ack` records when any token has one.
 ///   WAL         header "SYSWAL1 <n>" + framed records (see wal.h).
 ///
 /// Invariant: after a crash at ANY point of the write path, Open yields a
@@ -109,13 +110,13 @@ class DurableCatalog {
   Status LogAck(const std::string& token, uint64_t request_id,
                 uint64_t records) EXCLUDES(mutex_);
 
-  /// Acks recovered by Open from the live WAL, token -> highest acked
-  /// request. The dedup window is the live WAL: Checkpoint resets it (by
-  /// then every acked reply has long been delivered or abandoned).
-  std::map<std::string, RecoveredAck> recovered_acks() const
-      EXCLUDES(mutex_) {
+  /// Every durable ack, token -> highest acked request: recovered by Open
+  /// (the checkpoint's ACKS file, then the live WAL) and raised by each
+  /// commit. Checkpoint carries the whole map into the new checkpoint, so a
+  /// checkpoint never shrinks the dedup window of a crashed client.
+  std::map<std::string, RecoveredAck> acks() const EXCLUDES(mutex_) {
     util::MutexLock lock(&mutex_);
-    return recovered_acks_;
+    return acks_;
   }
 
   /// Seals and fsyncs the staged group, then applies it to the in-memory
@@ -191,6 +192,12 @@ class DurableCatalog {
   Status RecoverLocked() REQUIRES(mutex_);
   Status ReplayWalLocked(const std::string& bytes, size_t header_end)
       REQUIRES(mutex_);
+  /// Loads a checkpoint's ACKS file into acks_. Every frame must be a
+  /// complete `ack` record: the file was fsync'd before the checkpoint
+  /// became live.
+  Status LoadCheckpointAcksLocked(const std::string& path) REQUIRES(mutex_);
+  /// Raises the token's high-water mark to the ack record's request id.
+  void RaiseAckLocked(const WalRecord& ack) REQUIRES(mutex_);
   /// Rewrites the WAL to an empty log for the current checkpoint id.
   Status ResetWalLocked() REQUIRES(mutex_);
   Status CollectGarbageLocked(const std::string& live_checkpoint)
@@ -222,7 +229,7 @@ class DurableCatalog {
   MutationGroup staged_ GUARDED_BY(mutex_);
   /// Groups sealed for the next cross-session batch commit, in seal order.
   std::vector<MutationGroup> sealed_ GUARDED_BY(mutex_);
-  std::map<std::string, RecoveredAck> recovered_acks_ GUARDED_BY(mutex_);
+  std::map<std::string, RecoveredAck> acks_ GUARDED_BY(mutex_);
   DurabilityStats stats_ GUARDED_BY(mutex_);
 };
 

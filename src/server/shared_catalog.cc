@@ -35,7 +35,7 @@ Result<std::unique_ptr<SharedCatalog>> SharedCatalog::Open(
   // proof obligations as every other non-constructor.
   util::MutexLock lock(&catalog->mutex_);
   catalog->image_ = std::move(image);
-  catalog->recovered_acks_ = catalog->durable_->recovered_acks();
+  catalog->recovered_acks_ = catalog->durable_->acks();
   catalog->durability_stats_ = catalog->durable_->stats();
   return catalog;
 }

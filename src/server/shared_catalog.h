@@ -124,7 +124,8 @@ class SharedCatalog {
       CommitTag tag = CommitTag{}) EXCLUDES(mutex_);
 
   /// The highest request id `token` committed before the last crash
-  /// (recovered from WAL ack records); false when the token has none.
+  /// (recovered from the checkpoint's and the WAL's ack records); false
+  /// when the token has none.
   /// Callable under the server mutex: kServer is ACQUIRED_BEFORE
   /// kSharedCatalog in the lock hierarchy (DESIGN §2.10).
   bool RecoveredAckFor(const std::string& token, uint64_t* request_id,

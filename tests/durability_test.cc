@@ -269,6 +269,55 @@ TEST_F(DurabilityDirFixture, CheckpointResetsWalAndSurvivesReopen) {
   EXPECT_TRUE((*reopened)->catalog().GetRelation("b").ok());
 }
 
+TEST_F(DurabilityDirFixture, CheckpointCarriesEveryTokensAckHighWaterMark) {
+  const rel::Schema schema = rel::MakeIntSchema(1);
+  {
+    auto durable = DurableCatalog::Open(Dir());
+    ASSERT_OK(durable);
+    ASSERT_STATUS_OK((*durable)->LogPut("a", Rel(schema, {{1}})));
+    ASSERT_STATUS_OK((*durable)->LogAck("t1", 3, 1));
+    ASSERT_STATUS_OK((*durable)->Commit());
+    ASSERT_STATUS_OK((*durable)->LogPut("b", Rel(schema, {{2}})));
+    ASSERT_STATUS_OK((*durable)->LogAck("t1", 5, 1));
+    ASSERT_STATUS_OK((*durable)->LogAck("t2", 2, 1));
+    ASSERT_STATUS_OK((*durable)->Commit());
+    ASSERT_STATUS_OK((*durable)->Checkpoint());
+    EXPECT_EQ((*durable)->wal_live_records(), 0u);
+  }
+  {
+    auto reopened = DurableCatalog::Open(Dir());
+    ASSERT_OK(reopened);
+    EXPECT_EQ((*reopened)->stats().recovered_records, 0u);
+    const auto acks = (*reopened)->acks();
+    ASSERT_EQ(acks.size(), 2u);
+    EXPECT_EQ(acks.at("t1").request_id, 5u);
+    EXPECT_EQ(acks.at("t2").request_id, 2u);
+    // A later commit raises a recovered mark, and the next checkpoint keeps
+    // the raised one alongside the untouched token.
+    ASSERT_STATUS_OK((*reopened)->LogPut("c", Rel(schema, {{3}})));
+    ASSERT_STATUS_OK((*reopened)->LogAck("t1", 6, 1));
+    ASSERT_STATUS_OK((*reopened)->Commit());
+    ASSERT_STATUS_OK((*reopened)->Checkpoint());
+  }
+  {
+    auto reopened = DurableCatalog::Open(Dir());
+    ASSERT_OK(reopened);
+    const auto acks = (*reopened)->acks();
+    EXPECT_EQ(acks.at("t1").request_id, 6u);
+    EXPECT_EQ(acks.at("t2").request_id, 2u);
+  }
+  // The ACKS file was fsync'd before the checkpoint went live, so a torn
+  // one is corruption, not a crash tail.
+  const std::string acks_path = Dir() + "/chk-2/ACKS";
+  ASSERT_TRUE(Io::Exists(acks_path));
+  std::filesystem::resize_file(acks_path,
+                               std::filesystem::file_size(acks_path) - 1);
+  auto corrupt = DurableCatalog::Open(Dir());
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_TRUE(corrupt.status().IsDataCorruption())
+      << corrupt.status().ToString();
+}
+
 TEST_F(DurabilityDirFixture, GroupCommitIsAtomicAndAbortable) {
   const rel::Schema schema = rel::MakeIntSchema(1);
   auto durable = DurableCatalog::Open(Dir());
