@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Server smoke gate (DESIGN S24 + S26): boot the socket server, drive it with
 # 8 concurrent scripted clients, and diff every client's transcript against a
-# serial oracle run of the same scripts. Then the S26 reliability legs: the
-# same diff through the legacy --v1 protocol, a graceful-DRAIN-under-load
-# run, and one point of the chaos network-injection fuzz when its binary is
-# built.
+# serial oracle run of the same scripts. While the concurrent clients run, a
+# raw connection whose first frame is not a HELLO must be refused with one
+# ERR invalid-argument frame. Then the S26 reliability legs: a
+# graceful-DRAIN-under-load run, and one point of the chaos
+# network-injection fuzz when its binary is built.
 #
 # Snapshot isolation plus session-private buffers make each script's output
 # a pure function of the script itself — concurrency must not be able to
@@ -92,6 +93,37 @@ for i in $(seq 1 "$CLIENTS"); do
       >"$WORK/concurrent_$i.out" 2>&1 &
   pids+=($!)
 done
+
+# Refusal leg, mid-traffic: protocol v2 is the only protocol. One raw
+# length-framed `LOAD A` as the first frame must come back as a single
+# `ERR invalid-argument` frame naming HELLO v2; the clients above must not
+# notice (their transcripts are diffed below).
+refused=0
+python3 - "$PORT" >"$WORK/refusal.out" 2>&1 <<'PY' || refused=1
+import socket
+import struct
+import sys
+
+payload = b"LOAD A"
+with socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10) as s:
+    s.sendall(struct.pack("<I", len(payload)) + payload)
+
+    def recv_exact(n):
+        buf = b""
+        while len(buf) < n:
+            chunk = s.recv(n - len(buf))
+            if not chunk:
+                sys.exit("connection closed before a whole reply frame")
+            buf += chunk
+        return buf
+
+    (size,) = struct.unpack("<I", recv_exact(4))
+    reply = recv_exact(size).decode()
+print(reply)
+if not reply.startswith("ERR invalid-argument") or "HELLO v2" not in reply:
+    sys.exit("expected one ERR invalid-argument frame naming HELLO v2")
+PY
+
 for pid in "${pids[@]}"; do
   wait "$pid"
 done
@@ -119,14 +151,9 @@ for i in $(seq 1 "$CLIENTS"); do
   fi
 done
 
-# Legacy-protocol leg: the same script through `--v1` must produce the same
-# transcript as the v2 serial oracle (the reply format is shared).
-client_script 1 | "$SHELL_BIN" --connect "$PORT" --v1 >"$WORK/v1.out" 2>&1
-normalize "$WORK/v1.out" >"$WORK/v1.norm"
-if ! diff -u "$WORK/serial_1.norm" "$WORK/v1.norm" >"$WORK/diff_v1.txt" 2>&1
-then
-  echo "server_smoke: --v1 transcript diverged from the v2 oracle:" >&2
-  cat "$WORK/diff_v1.txt" >&2
+if [ "$refused" -ne 0 ]; then
+  echo "server_smoke: a first frame that is not a HELLO was not refused:" >&2
+  cat "$WORK/refusal.out" >&2
   fail=1
 fi
 
@@ -141,7 +168,7 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "server_smoke: OK — $CLIENTS concurrent clients byte-identical to the" \
-     "serial oracle (v2 and --v1)"
+     "serial oracle; a non-HELLO first frame refused"
 
 # ---- S26 drain leg: graceful stop under load ------------------------------
 # Boot a fresh server, put clients on it, then DRAIN mid-flight. The server

@@ -200,14 +200,18 @@ std::string EncodeHello(const std::string& token) {
 
 bool ParseHello(const std::string& payload, std::string* token) {
   const std::string magic(kHelloMagic);
-  if (payload.rfind(magic, 0) != 0) return false;
-  token->clear();
-  if (payload.size() > magic.size() && payload[magic.size()] == ' ') {
-    *token = payload.substr(magic.size() + 1);
-    // A token with framing characters could never have been minted; treat it
-    // as absent rather than letting it key the session maps.
-    if (token->find_first_of(" \n") != std::string::npos) token->clear();
+  if (payload == magic) {
+    token->clear();
+    return true;
   }
+  // Exactly one space, then a non-empty token free of framing characters:
+  // a token with a space or newline could never have been minted.
+  const size_t start = magic.size() + 1;
+  if (payload.size() <= start || payload.compare(0, start, magic + " ") != 0 ||
+      payload.find_first_of(" \n", start) != std::string::npos) {
+    return false;
+  }
+  *token = payload.substr(start);
   return true;
 }
 

@@ -17,6 +17,24 @@ bool IsTransient(const Status& status) {
 
 }  // namespace
 
+Result<Client::Reply> ParseReplyPayload(const std::string& payload) {
+  const size_t newline = payload.find('\n');
+  const std::string verdict =
+      newline == std::string::npos ? payload : payload.substr(0, newline);
+  Client::Reply reply;
+  reply.output =
+      newline == std::string::npos ? "" : payload.substr(newline + 1);
+  if (verdict == "OK") {
+    reply.ok = true;
+  } else if (verdict.rfind("ERR ", 0) == 0) {
+    reply.error = verdict.substr(4);
+  } else {
+    return Status::DataCorruption("malformed reply verdict '" + verdict +
+                                  "'");
+  }
+  return reply;
+}
+
 Result<ReliableClient> ReliableClient::Connect(ReliableClientOptions options) {
   return Connect(std::move(options), std::string());
 }

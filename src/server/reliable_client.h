@@ -7,10 +7,25 @@
 #include <string>
 
 #include "server/protocol.h"
-#include "server/server.h"
 
 namespace systolic {
 namespace server {
+
+/// Only a scope for Reply, which callers still spell server::Client::Reply.
+struct Client {
+  /// One command's round trip.
+  struct Reply {
+    bool ok = false;
+    /// The status text after "ERR " (empty when ok).
+    std::string error;
+    /// Everything the command printed on the server.
+    std::string output;
+  };
+};
+
+/// Splits a reply payload into Client::Reply; DataCorruption on a malformed
+/// verdict line.
+Result<Client::Reply> ParseReplyPayload(const std::string& payload);
 
 /// Knobs for ReliableClient. The `dial` and `sleep_ms` hooks exist so tests
 /// can splice a ChaosWire under the client and collapse backoff waits to

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "util/strings.h"
@@ -122,20 +121,28 @@ Result<std::shared_ptr<Session>> Server::Resume(const std::string& token) {
       return slot->second.session;
     }
   }
+  return ResumeRecoveredLocked(token, /*network=*/false);
+}
+
+Result<std::shared_ptr<Session>> Server::ResumeRecoveredLocked(
+    const std::string& token, bool network) {
   uint64_t acked = 0;
   uint64_t records = 0;
-  if (catalog_->RecoveredAckFor(token, &acked, &records)) {
-    SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                              AdmitLocked(/*network=*/false));
-    tokens_.erase(session->token());
-    session->set_token(token);
-    tokens_[token] = session->id();
-    session->AdoptRecoveredAck(acked, records);
-    ++sessions_resumed_;
-    return session;
+  if (!catalog_->RecoveredAckFor(token, &acked, &records)) {
+    return Status::NotFound("unknown session token '" + token +
+                            "' (expired, reaped, or never issued)");
   }
-  return Status::NotFound("unknown session token '" + token +
-                          "' (expired, reaped, or never issued)");
+  // The session died with the previous incarnation, but its commits' acks
+  // survived in the WAL: resume into a fresh session primed to deduplicate
+  // any retried committed request.
+  SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
+                            AdmitLocked(network));
+  tokens_.erase(session->token());
+  session->set_token(token);
+  tokens_[token] = session->id();
+  session->AdoptRecoveredAck(acked, records);
+  ++sessions_resumed_;
+  return session;
 }
 
 void Server::Disconnect(uint64_t session_id) {
@@ -380,141 +387,54 @@ void Server::HandleConnection(int fd) {
   Result<std::string> first =
       ReadFrame(wire, &clean_eof, BudgetMs(config_.idle_timeout_ms),
                 BudgetMs(config_.io_timeout_ms));
+  Status refusal = Status::OK();
   if (first.ok()) {
     std::string token;
     if (ParseHello(*first, &token)) {
       HandleV2(wire, token);
     } else {
-      HandleV1(wire, std::move(*first));
+      // Protocol v2 is the only protocol: refuse before admitting a session.
+      refusal = Status::InvalidArgument(
+          "the first frame must be \"HELLO v2\" or \"HELLO v2 <token>\"");
     }
   } else if (first.status().IsDataCorruption()) {
     // Unframeable garbage: the stream cannot be resynchronised, but the
     // offender still gets a clean verdict before the close.
-    (void)WriteFrame(wire, "ERR " + first.status().ToString() + "\n",
+    refusal = first.status();
+  }
+  if (!refusal.ok()) {
+    (void)WriteFrame(wire, "ERR " + refusal.ToString() + "\n",
                      BudgetMs(config_.io_timeout_ms));
   }
   util::MutexLock lock(&mutex_);
   live_wires_.erase(wire_id);
 }
 
-void Server::HandleV1(Wire& wire, std::string line) {
-  const int io = BudgetMs(config_.io_timeout_ms);
-  std::shared_ptr<Session> session;
-  {
-    util::MutexLock lock(&mutex_);
-    Result<std::shared_ptr<Session>> connected = AdmitLocked(/*network=*/true);
-    if (!connected.ok()) {
-      lock.Unlock();
-      // Best-effort refusal; the admission verdict is the payload.
-      (void)WriteFrame(wire, "ERR " + connected.status().ToString() + "\n",
-                       io);
-      return;
-    }
-    session = std::move(connected).ValueOrDie();
-    Slot& slot = slots_[session->id()];
-    slot.attached = true;
-    slot.wire = &wire;
-  }
-  const uint64_t sid = session->id();
-  for (;;) {
-    if (line == "SHUTDOWN") {
-      (void)WriteFrame(wire, "OK\n-- server stopping\n", io);
-      RequestShutdown();
-      break;
-    }
-    if (line == "DRAIN") {
-      (void)WriteFrame(wire, "OK\n-- server draining\n", io);
-      RequestDrain();
-      break;
-    }
-    {
-      util::MutexLock lock(&mutex_);
-      const auto it = slots_.find(sid);
-      if (it != slots_.end()) {
-        it->second.busy = true;
-        it->second.last_active = Now();
-      }
-    }
-    const Result<std::string> output = session->Execute(line);
-    std::string payload;
-    if (output.ok()) {
-      payload = "OK\n" + *output;
-    } else {
-      payload = "ERR " + output.status().ToString() + "\n" +
-                session->last_output();
-    }
-    bool close_now = false;
-    {
-      util::MutexLock lock(&mutex_);
-      const auto it = slots_.find(sid);
-      if (it != slots_.end()) {
-        it->second.busy = false;
-        it->second.last_active = Now();
-        close_now = it->second.close_after_reply;
-      }
-    }
-    slots_cv_.NotifyAll();
-    if (!WriteReply(wire, payload).ok()) break;
-    if (close_now) break;
-    bool clean_eof = false;
-    Result<std::string> next =
-        ReadFrame(wire, &clean_eof, BudgetMs(config_.idle_timeout_ms), io);
-    if (!next.ok()) {
-      if (next.status().IsDataCorruption()) {
-        (void)WriteFrame(wire, "ERR " + next.status().ToString() + "\n", io);
-      }
-      if (IsWireTimeout(next.status())) {
-        util::MutexLock lock(&mutex_);
-        ++sessions_reaped_;
-      }
-      break;
-    }
-    line = std::move(*next);
-  }
-  Disconnect(sid);  // v1 sessions die with their connection
-}
-
 Result<std::shared_ptr<Session>> Server::AttachV2(const std::string& token,
                                                   Wire* wire) {
+  std::shared_ptr<Session> session;
   for (;;) {
     if (shutdown_ || draining_) {
       return Status::Unavailable("server is stopping");
     }
-    if (token.empty()) break;  // fresh admission below
+    if (token.empty()) {
+      SYSTOLIC_ASSIGN_OR_RETURN(session, AdmitLocked(/*network=*/true));
+      break;
+    }
     const auto tok = tokens_.find(token);
     if (tok == tokens_.end()) {
-      uint64_t acked = 0;
-      uint64_t records = 0;
-      if (catalog_->RecoveredAckFor(token, &acked, &records)) {
-        // The session died with the previous incarnation, but its commits'
-        // acks survived in the WAL: resume into a fresh session primed to
-        // deduplicate any retried committed request.
-        SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                                  AdmitLocked(/*network=*/true));
-        tokens_.erase(session->token());
-        session->set_token(token);
-        tokens_[token] = session->id();
-        session->AdoptRecoveredAck(acked, records);
-        Slot& slot = slots_[session->id()];
-        slot.attached = true;
-        slot.wire = wire;
-        slot.last_active = Now();
-        ++sessions_resumed_;
-        return session;
-      }
-      return Status::NotFound("unknown session token '" + token +
-                              "' (expired, reaped, or never issued)");
+      SYSTOLIC_ASSIGN_OR_RETURN(
+          session, ResumeRecoveredLocked(token, /*network=*/true));
+      break;
     }
     const auto it = slots_.find(tok->second);
     if (it == slots_.end()) continue;
     Slot& slot = it->second;
     if (!slot.attached) {
-      slot.attached = true;
       slot.network = true;
-      slot.wire = wire;
-      slot.last_active = Now();
       ++sessions_resumed_;
-      return slot.session;
+      session = slot.session;
+      break;
     }
     // Steal: the token holder reconnected (its old connection is dead or
     // dying). Tear the old attachment down and wait for its handler to
@@ -534,8 +454,6 @@ Result<std::shared_ptr<Session>> Server::AttachV2(const std::string& token,
     // Loop back and re-evaluate from scratch: the slot may have detached,
     // vanished entirely, or the server may be stopping.
   }
-  SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                            AdmitLocked(/*network=*/true));
   Slot& slot = slots_[session->id()];
   slot.attached = true;
   slot.wire = wire;
@@ -664,45 +582,6 @@ void Server::HandleV2(Wire& wire, const std::string& token) {
     if (close_now) break;
   }
   ReleaseV2(sid, disconnect);
-}
-
-// ---- Client ----------------------------------------------------------------
-
-Result<Client::Reply> ParseReplyPayload(const std::string& payload) {
-  const size_t newline = payload.find('\n');
-  const std::string verdict =
-      newline == std::string::npos ? payload : payload.substr(0, newline);
-  Client::Reply reply;
-  reply.output =
-      newline == std::string::npos ? "" : payload.substr(newline + 1);
-  if (verdict == "OK") {
-    reply.ok = true;
-  } else if (verdict.rfind("ERR ", 0) == 0) {
-    reply.error = verdict.substr(4);
-  } else {
-    return Status::DataCorruption("malformed reply verdict '" + verdict +
-                                  "'");
-  }
-  return reply;
-}
-
-void Client::Close() { wire_.reset(); }
-
-Result<Client> Client::Connect(uint16_t port) {
-  SYSTOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixWire> wire,
-                            PosixWire::Dial(port));
-  return Client(std::move(wire));
-}
-
-Result<Client::Reply> Client::Roundtrip(const std::string& line) {
-  if (wire_ == nullptr) {
-    return Status::InvalidArgument("client is not connected");
-  }
-  SYSTOLIC_RETURN_NOT_OK(WriteFrame(*wire_, line, io_timeout_ms_));
-  SYSTOLIC_ASSIGN_OR_RETURN(
-      const std::string payload,
-      ReadFrame(*wire_, nullptr, io_timeout_ms_, io_timeout_ms_));
-  return ParseReplyPayload(payload);
 }
 
 }  // namespace server

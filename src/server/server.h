@@ -91,7 +91,8 @@ struct ServerStats {
 /// Embedded use (tests, benches): Create + Connect/Resume, drive sessions
 /// from your own threads. Network use: Listen + Serve accept length-framed
 /// connections ([u32 LE payload length][payload]); see protocol.h for the
-/// v2 frame grammar and the legacy v1 fallback.
+/// protocol-v2 frame grammar. A connection that does not open with a HELLO
+/// is refused with one ERR frame.
 class Server {
  public:
   static Result<std::unique_ptr<Server>> Create(ServerConfig config);
@@ -158,10 +159,8 @@ class Server {
   };
 
   void HandleConnection(int fd) EXCLUDES(mutex_);
-  /// The v2 session loop (after a HELLO); `token` empty = new session.
+  /// The session loop (after a HELLO); `token` empty = new session.
   void HandleV2(Wire& wire, const std::string& token) EXCLUDES(mutex_);
-  /// The legacy v1 loop; `first` is the already-read first command frame.
-  void HandleV1(Wire& wire, std::string first) EXCLUDES(mutex_);
 
   /// Writes `payload`, substituting a well-formed truncated ERR reply when
   /// it exceeds the frame limit (the connection survives oversized PRINTs).
@@ -174,6 +173,11 @@ class Server {
   /// into the shared catalog under mutex_ — legal because kServer is
   /// ACQUIRED_BEFORE kSharedCatalog in the lock hierarchy (DESIGN §2.10).
   std::string MintTokenLocked() REQUIRES(mutex_);
+  /// Resume of a token no live slot holds: admits a fresh session primed
+  /// with the token's WAL-recovered ack (counted as a resume), or NotFound
+  /// when the WAL does not remember the token either.
+  Result<std::shared_ptr<Session>> ResumeRecoveredLocked(
+      const std::string& token, bool network) REQUIRES(mutex_);
   /// Attach (or steal) the v2 session for `token`; empty = admit new.
   /// Returns the session, waiting out a concurrent handler on a steal
   /// (mutex_ is released while waiting, like every CondVar wait).
@@ -222,49 +226,6 @@ class Server {
   util::CondVar reaper_cv_;
   bool reaper_stop_ GUARDED_BY(mutex_) = false;
 };
-
-/// Minimal blocking v1 client for the length-framed protocol; used by the
-/// legacy smoke path and the protocol-robustness tests. New code should use
-/// ReliableClient (reliable_client.h).
-class Client {
- public:
-  /// One command's round trip.
-  struct Reply {
-    bool ok = false;
-    /// The status text after "ERR " (empty when ok).
-    std::string error;
-    /// Everything the command printed on the server.
-    std::string output;
-  };
-
-  Client() = default;
-  ~Client() = default;
-  Client(Client&&) noexcept = default;
-  Client& operator=(Client&&) noexcept = default;
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  /// Connects to 127.0.0.1:`port`.
-  static Result<Client> Connect(uint16_t port);
-
-  /// Bounds every send/recv poll; <= 0 = block indefinitely (the default).
-  /// With a budget set, a stalled server surfaces as IOError instead of a
-  /// hang.
-  void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
-
-  Result<Reply> Roundtrip(const std::string& line);
-
-  void Close();
-
- private:
-  explicit Client(std::unique_ptr<Wire> wire) : wire_(std::move(wire)) {}
-  std::unique_ptr<Wire> wire_;
-  int io_timeout_ms_ = -1;
-};
-
-/// Splits a reply payload into Client::Reply; DataCorruption on a malformed
-/// verdict line. Shared by Client and ReliableClient.
-Result<Client::Reply> ParseReplyPayload(const std::string& payload);
 
 }  // namespace server
 }  // namespace systolic

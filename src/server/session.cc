@@ -18,8 +18,8 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
   machine_.set_commit_sink(
       [this](const std::vector<std::pair<std::string, const rel::Relation*>>&
                  puts) -> Result<size_t> {
-        // Tag v2 requests so the WAL ack makes the dedup crash-safe; v1 and
-        // embedded commits (current_request_id_ == 0) go untagged.
+        // Tag v2 requests so the WAL ack makes the dedup crash-safe; embedded
+        // Execute commits (current_request_id_ == 0) go untagged.
         CommitTag tag;
         if (current_request_id_ > 0) {
           tag.token = token_;

@@ -51,10 +51,10 @@ class Session {
   const std::string& token() const { return token_; }
   void set_token(std::string token) { token_ = std::move(token); }
 
-  /// Executes one command line after admission through the fair-share
-  /// scheduler; returns everything the command printed. Errors carry the
-  /// printed output in the session's last_output() so protocol layers can
-  /// still relay partial results.
+  /// The embedded API: executes one command line after admission through
+  /// the fair-share scheduler and returns everything the command printed.
+  /// No request id, so no reply cache and no WAL ack; network clients go
+  /// through ExecuteRequest.
   Result<std::string> Execute(const std::string& line);
 
   /// One protocol-v2 request (DESIGN S26): the full wire payload for request
@@ -87,9 +87,6 @@ class Session {
 
   /// The last request id consumed (0 before any v2 request).
   uint64_t last_request_id() const { return last_request_id_; }
-
-  /// Output printed by the most recent Execute (even a failed one).
-  const std::string& last_output() const { return last_output_; }
 
   /// Per-session durability counters: records THIS session pushed through
   /// the shared group-commit pipeline (never another session's).
@@ -132,7 +129,8 @@ class Session {
   std::string last_reply_;
   bool have_last_reply_ = false;
   /// In-flight v2 request id, visible to the commit sink for WAL ack
-  /// tagging; 0 outside ExecuteRequest (v1/embedded commits go untagged).
+  /// tagging; 0 outside ExecuteRequest (embedded Execute commits go
+  /// untagged).
   uint64_t current_request_id_ = 0;
   uint64_t recovered_ack_id_ = 0;
   uint64_t recovered_ack_records_ = 0;

@@ -113,13 +113,15 @@ DmaQueue::DmaQueue(bool overlap, size_t num_bank_pairs)
 }
 
 size_t DmaQueue::BankOf(size_t tile) {
-  for (size_t i = 0; i < tile_order_.size(); ++i) {
-    if (tile_order_[i] == tile) {
-      return i % num_bank_pairs_;
-    }
+  if (tiles_seen_ == 0 || tile != last_tile_) {
+    SYSTOLIC_CHECK(tiles_seen_ == 0 || tile > last_tile_)
+        << "tile " << tile << " queued after tile " << last_tile_
+        << ": a tile's commands must be enqueued together, in increasing "
+           "tile id";
+    last_tile_ = tile;
+    ++tiles_seen_;
   }
-  tile_order_.push_back(tile);
-  return (tile_order_.size() - 1) % num_bank_pairs_;
+  return (tiles_seen_ - 1) % num_bank_pairs_;
 }
 
 void DmaQueue::Mvin(size_t tile, double bytes) {

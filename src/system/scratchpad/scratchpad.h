@@ -140,7 +140,8 @@ bool operator==(const DmaEvent& a, const DmaEvent& b);
 std::string ToString(const DmaEvent& event);
 
 /// The per-chip asynchronous DMA command queue. Tiles enqueue their commands
-/// in tile order (mvin, preload, compute, mvout); Schedule() then derives
+/// together and in increasing tile id (mvin, preload, compute, mvout) —
+/// returning to an earlier tile is a fatal check; Schedule() then derives
 /// the deterministic execution timeline under the chip's resources:
 ///
 ///   * one DMA load port — operand feeds (mvin/preload) serialise on it —
@@ -181,13 +182,16 @@ class DmaQueue {
 
  private:
   /// Bank pair for a tile: tiles are numbered by first appearance in the
-  /// queue, and pairs are assigned round-robin over that order.
+  /// queue, and pairs are assigned round-robin over that order. O(1) because
+  /// of the enqueue order above; ids may be sparse (a chip's share of the
+  /// tiles).
   size_t BankOf(size_t tile);
 
   bool overlap_;
   size_t num_bank_pairs_;
   std::vector<DmaCommand> commands_;
-  std::vector<size_t> tile_order_;  // tile ids by first appearance
+  size_t last_tile_ = 0;   // id of the most recently queued tile
+  size_t tiles_seen_ = 0;  // distinct tiles queued so far
 };
 
 }  // namespace spad

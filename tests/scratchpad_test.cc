@@ -22,6 +22,7 @@ namespace {
 
 using rel::Relation;
 using rel::Schema;
+using spad::DmaCommand;
 using spad::DmaEvent;
 using spad::DmaOp;
 using spad::DmaQueue;
@@ -174,6 +175,35 @@ TEST(DmaQueueTest, ThirdTileWaitsForItsBankPair) {
   EXPECT_EQ(trace[8].start, 20u);  // tile 0's bank frees at 20
   EXPECT_EQ(makespan, 40u);
   EXPECT_EQ(queue.SerialCycleTotal(), 60u);
+}
+
+TEST(DmaQueueTest, SparseTileIdsTakeBanksInArrivalOrder) {
+  // One chip's share of a 4-chip run: every fourth tile. Banks follow the
+  // order the tiles arrive in, not their ids.
+  DmaQueue queue(/*overlap=*/true);
+  for (const size_t tile : {3, 7, 11}) {
+    queue.Mvin(tile, 32);
+    queue.Compute(tile, 10);
+    queue.Mvout(tile, 16);
+  }
+  const std::vector<DmaCommand>& commands = queue.commands();
+  ASSERT_EQ(commands.size(), 9u);
+  const size_t expected_bank[] = {0, 1, 0};
+  for (size_t i = 0; i < commands.size(); ++i) {
+    EXPECT_EQ(commands[i].bank, expected_bank[i / 3])
+        << "command " << i << " of tile " << commands[i].tile;
+  }
+}
+
+TEST(DmaQueueDeathTest, RevisitedTileIsFatal) {
+  EXPECT_DEATH(
+      {
+        DmaQueue queue(/*overlap=*/true);
+        queue.Mvin(0, 32);
+        queue.Mvin(1, 32);
+        queue.Mvout(0, 16);
+      },
+      "increasing tile id");
 }
 
 TEST(DmaQueueTest, ZeroByteTransfersQueueNothing) {

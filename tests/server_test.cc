@@ -429,6 +429,16 @@ TEST(ServerTest, PerSessionStatsCountOnlyOwnCommits) {
 
 // ---- Socket protocol ------------------------------------------------------
 
+// A protocol-v2 client with a bounded wire and one attempt per request, so
+// no transparent retry can hide the behaviour a test is checking.
+Result<ReliableClient> ConnectOnce(uint16_t port) {
+  ReliableClientOptions options;
+  options.port = port;
+  options.io_timeout_ms = 5'000;
+  options.max_attempts = 1;
+  return ReliableClient::Connect(std::move(options));
+}
+
 TEST(ServerTest, SocketRoundTripAndShutdown) {
   auto created = Server::Create(TestConfig());
   ASSERT_OK(created);
@@ -438,26 +448,163 @@ TEST(ServerTest, SocketRoundTripAndShutdown) {
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
   {
-    auto client = Client::Connect(server.port());
+    auto client = ConnectOnce(server.port());
     ASSERT_OK(client);
-    auto loaded = client->Roundtrip("LOAD A");
+    auto loaded = client->Execute("LOAD A");
     ASSERT_OK(loaded);
     EXPECT_TRUE(loaded->ok) << loaded->error;
     EXPECT_NE(loaded->output.find("loaded A"), std::string::npos)
         << loaded->output;
 
     // Errors relay the status text and any partial output.
-    auto missing = client->Roundtrip("PRINT nothing");
+    auto missing = client->Execute("PRINT nothing");
     ASSERT_OK(missing);
     EXPECT_FALSE(missing->ok);
     EXPECT_NE(missing->error.find("not-found"), std::string::npos)
         << missing->error;
 
-    auto stopped = client->Roundtrip("SHUTDOWN");
+    // ReliableClient::Shutdown tolerates a lost ack, so read the control
+    // verb's reply on a raw session to check its verdict.
+    auto wire = PosixWire::Dial(server.port());
+    ASSERT_OK(wire);
+    ASSERT_STATUS_OK(WriteFrame(**wire, EncodeHello(""), 2'000));
+    auto hello = ReadFrame(**wire, nullptr, 5'000, 5'000);
+    ASSERT_OK(hello);
+    ASSERT_EQ(hello->rfind("OK\ntoken ", 0), 0u) << *hello;
+    ASSERT_STATUS_OK(WriteFrame(**wire, "SHUTDOWN", 2'000));
+    auto ack = ReadFrame(**wire, nullptr, 5'000, 5'000);
+    ASSERT_OK(ack);
+    auto stopped = ParseReplyPayload(*ack);
     ASSERT_OK(stopped);
     EXPECT_TRUE(stopped->ok);
   }
   serving.join();
+}
+
+// ---- Protocol v2 codec ----------------------------------------------------
+// The decoders every frame passes through, row by row: what parses, what it
+// parses to, and the lookalikes that must not.
+
+TEST(ProtocolCodec, ParseHelloAcceptsOnlyExactHellos) {
+  struct Row {
+    std::string payload;
+    bool is_hello;
+    std::string token;
+  };
+  const Row rows[] = {
+      {"HELLO v2", true, ""},
+      {"HELLO v2 b1-s7", true, "b1-s7"},
+      {"HELLO v2x", false, ""},
+      {"HELLO v20 tok", false, ""},
+      {"HELLO v2 ", false, ""},       // empty token
+      {"HELLO v2  tok", false, ""},   // two spaces
+      {"HELLO v2 a b", false, ""},    // token containing a space
+      {"HELLO v2 tok\n", false, ""},  // token containing a newline
+      {"HELLO v2\nLOAD A", false, ""},
+      {"HELLO v1", false, ""},
+      {"hello v2", false, ""},
+      {" HELLO v2", false, ""},
+      {"HELLO", false, ""},
+      {"", false, ""},
+      {"LOAD A", false, ""},
+  };
+  for (const Row& row : rows) {
+    std::string token = "untouched";
+    EXPECT_EQ(ParseHello(row.payload, &token), row.is_hello)
+        << "'" << row.payload << "'";
+    if (row.is_hello) {
+      EXPECT_EQ(token, row.token) << "'" << row.payload << "'";
+    }
+  }
+  for (const std::string token : {"", "b1-s1", "b42-s1000"}) {
+    std::string parsed = "untouched";
+    ASSERT_TRUE(ParseHello(EncodeHello(token), &parsed)) << token;
+    EXPECT_EQ(parsed, token);
+  }
+}
+
+TEST(ProtocolCodec, ParseRequestNeedsAPositiveDecimalIdAndANewline) {
+  struct Row {
+    std::string payload;
+    bool ok;
+    uint64_t id;
+    std::string line;
+  };
+  const Row rows[] = {
+      {"REQ 1\nLOAD A", true, 1, "LOAD A"},
+      {"REQ 42\n", true, 42, ""},
+      {"REQ 7\nPRINT a\nPRINT b", true, 7, "PRINT a\nPRINT b"},
+      {"REQ 0\nLOAD A", false, 0, ""},
+      {"REQ -1\nLOAD A", false, 0, ""},
+      {"REQ 5", false, 0, ""},  // no newline
+      {"REQ \nLOAD A", false, 0, ""},
+      {"REQ x\nLOAD A", false, 0, ""},
+      {"REQ 1x\nLOAD A", false, 0, ""},
+      {"REQ +1\nLOAD A", false, 0, ""},
+      {"REQ  1\nLOAD A", false, 0, ""},
+      {"REQ 99999999999999999999\nLOAD A", false, 0, ""},
+      {"req 1\nLOAD A", false, 0, ""},
+      {"REQ\nLOAD A", false, 0, ""},
+      {"LOAD A", false, 0, ""},
+      {"BYE", false, 0, ""},
+  };
+  for (const Row& row : rows) {
+    uint64_t id = 0;
+    std::string line = "untouched";
+    EXPECT_EQ(ParseRequest(row.payload, &id, &line), row.ok)
+        << "'" << row.payload << "'";
+    if (row.ok) {
+      EXPECT_EQ(id, row.id) << "'" << row.payload << "'";
+      EXPECT_EQ(line, row.line) << "'" << row.payload << "'";
+    }
+  }
+  for (const uint64_t id : {uint64_t{1}, uint64_t{2}, uint64_t{1} << 62}) {
+    for (const std::string line : {"", "LOAD A", "PRINT a\nPRINT b"}) {
+      uint64_t parsed_id = 0;
+      std::string parsed_line;
+      ASSERT_TRUE(ParseRequest(EncodeRequest(id, line), &parsed_id,
+                               &parsed_line))
+          << id << " " << line;
+      EXPECT_EQ(parsed_id, id);
+      EXPECT_EQ(parsed_line, line);
+    }
+  }
+}
+
+TEST(ProtocolCodec, ParseReplyPayloadSplitsVerdictAndOutput) {
+  struct Row {
+    std::string payload;
+    bool corrupt;
+    bool ok;
+    std::string error;
+    std::string output;
+  };
+  const Row rows[] = {
+      {"OK\nout\n", false, true, "", "out\n"},
+      {"OK", false, true, "", ""},
+      {"ERR capacity: full\npartial\n", false, false, "capacity: full",
+       "partial\n"},
+      {"ERR not-found: x", false, false, "not-found: x", ""},
+      {"WHAT\nnot a verdict\n", true, false, "", ""},
+      {"RETRY capacity: busy\n", true, false, "", ""},
+      {"OK \n", true, false, "", ""},
+      {"ERR\n", true, false, "", ""},
+      {"ok\n", true, false, "", ""},
+      {"", true, false, "", ""},
+  };
+  for (const Row& row : rows) {
+    auto reply = ParseReplyPayload(row.payload);
+    if (row.corrupt) {
+      ASSERT_FALSE(reply.ok()) << "'" << row.payload << "'";
+      EXPECT_TRUE(reply.status().IsDataCorruption())
+          << reply.status().ToString();
+      continue;
+    }
+    ASSERT_OK(reply);
+    EXPECT_EQ(reply->ok, row.ok) << "'" << row.payload << "'";
+    EXPECT_EQ(reply->error, row.error) << "'" << row.payload << "'";
+    EXPECT_EQ(reply->output, row.output) << "'" << row.payload << "'";
+  }
 }
 
 // ---- Protocol robustness (S26) --------------------------------------------
@@ -620,12 +767,42 @@ TEST(ProtocolRobustness, OverLimitFrameLengthGetsCleanErrorNotServerDeath) {
   (*wire)->Close();
 
   // The offending connection died alone: a fresh client still gets service.
-  auto client = Client::Connect(served.server->port());
+  auto client = ConnectOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
+}
+
+TEST(ProtocolRobustness, FirstFrameThatIsNotAHelloIsRefusedWithoutASession) {
+  ServedServer served(TestConfig());
+  const size_t admitted = served.server->stats().sessions_admitted;
+
+  // A bare command, a HELLO lookalike and a request without a HELLO: each
+  // gets exactly one ERR frame naming the expected HELLO, then EOF.
+  for (const std::string first : {"LOAD A", "HELLO v2x", "REQ 1\nLOAD A"}) {
+    auto wire = PosixWire::Dial(served.server->port());
+    ASSERT_OK(wire);
+    ASSERT_STATUS_OK(WriteFrame(**wire, first, 2'000));
+    bool clean_eof = false;
+    auto verdict = ReadFrame(**wire, &clean_eof, 5'000, 5'000);
+    ASSERT_OK(verdict);
+    EXPECT_EQ(verdict->rfind("ERR invalid-argument", 0), 0u) << *verdict;
+    EXPECT_NE(verdict->find("HELLO v2"), std::string::npos) << *verdict;
+    auto after = ReadFrame(**wire, &clean_eof, 5'000, 5'000);
+    EXPECT_FALSE(after.ok()) << *after;
+    EXPECT_TRUE(clean_eof) << after.status().ToString();
+    (*wire)->Close();
+  }
+  EXPECT_EQ(served.server->stats().sessions_admitted, admitted);
+
+  // Refusals are per connection: a v2 client still gets service.
+  auto client = ConnectOnce(served.server->port());
+  ASSERT_OK(client);
+  auto loaded = client->Execute("LOAD A");
+  ASSERT_OK(loaded);
+  EXPECT_TRUE(loaded->ok) << loaded->error;
+  EXPECT_EQ(served.server->stats().sessions_admitted, admitted + 1);
 }
 
 TEST(ProtocolRobustness, TruncatedPayloadDropsConnectionNotServer) {
@@ -642,10 +819,9 @@ TEST(ProtocolRobustness, TruncatedPayloadDropsConnectionNotServer) {
     (*wire)->Close();
   }
 
-  auto client = Client::Connect(served.server->port());
+  auto client = ConnectOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
@@ -664,8 +840,8 @@ TEST(ProtocolRobustness, MalformedReplyVerdictIsDataCorruptionNotHang) {
   ASSERT_FALSE(bogus.ok());
   EXPECT_TRUE(bogus.status().IsDataCorruption()) << bogus.status().ToString();
 
-  // End to end: a fake server answering garbage must surface as
-  // DataCorruption from Roundtrip, not a hang or a crash.
+  // End to end: a fake server answering the HELLO with garbage must surface
+  // as DataCorruption from Connect, not a hang or a crash.
   int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in addr{};
@@ -691,15 +867,13 @@ TEST(ProtocolRobustness, MalformedReplyVerdictIsDataCorruptionNotHang) {
     }
     ::close(listener);
   });
-  auto client = Client::Connect(port);
-  ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto reply = client->Roundtrip("LOAD A");
-  ASSERT_FALSE(reply.ok());
-  EXPECT_TRUE(reply.status().IsDataCorruption()) << reply.status().ToString();
-  EXPECT_NE(reply.status().ToString().find("malformed reply verdict"),
+  auto client = ConnectOnce(port);
+  ASSERT_FALSE(client.ok());
+  EXPECT_TRUE(client.status().IsDataCorruption())
+      << client.status().ToString();
+  EXPECT_NE(client.status().ToString().find("malformed reply verdict"),
             std::string::npos)
-      << reply.status().ToString();
+      << client.status().ToString();
   fake.join();
 }
 
@@ -737,10 +911,9 @@ TEST(ProtocolRobustness, SlowLorisSessionIsReapedNotServedForever) {
   (*wire)->Close();
 
   // And the server still serves the polite.
-  auto client = Client::Connect(served.server->port());
+  auto client = ConnectOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
@@ -760,16 +933,15 @@ TEST(ProtocolRobustness, OversizeReplyIsTruncatedIntoWellFormedError) {
   ASSERT_STATUS_OK(server.Listen(0));
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
-  auto client = Client::Connect(server.port());
+  auto client = ConnectOnce(server.port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD big");
+  auto loaded = client->Execute("LOAD big");
   ASSERT_OK(loaded);
   ASSERT_TRUE(loaded->ok) << loaded->error;
 
   // The PRINT would exceed the reply limit: the connection must survive and
   // carry a well-formed truncated ERR instead.
-  auto printed = client->Roundtrip("PRINT big");
+  auto printed = client->Execute("PRINT big");
   ASSERT_OK(printed);
   EXPECT_FALSE(printed->ok);
   EXPECT_NE(printed->error.find("capacity"), std::string::npos)
@@ -781,9 +953,10 @@ TEST(ProtocolRobustness, OversizeReplyIsTruncatedIntoWellFormedError) {
       << printed->output;
 
   // Same connection, next command still works.
-  auto again = client->Roundtrip("LOAD small");
+  auto again = client->Execute("LOAD small");
   ASSERT_OK(again);
   EXPECT_TRUE(again->ok) << again->error;
+  EXPECT_EQ(client->stats().dials, 1u);
   EXPECT_EQ(server.stats().oversize_replies, 1u);
 
   server.RequestShutdown();
@@ -863,10 +1036,9 @@ TEST(LockDiscipline, ReaperShutdownIsPromptDespiteLongTick) {
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
   // Prove the server (and its reaper) is actually up before stopping it.
-  auto client = Client::Connect(server.port());
+  auto client = ConnectOnce(server.port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 
@@ -924,18 +1096,17 @@ TEST(LockDiscipline, DrainRacesReaperRacesGroupCommitLeader) {
   std::vector<std::thread> writers;
   for (size_t i = 0; i < kWriters; ++i) {
     writers.emplace_back([&, i] {
-      auto client = Client::Connect(port);
+      auto client = ConnectOnce(port);
       if (!client.ok()) return;  // drain beat the dial
-      client->set_io_timeout_ms(5'000);
-      auto loaded = client->Roundtrip("LOAD A");
+      auto loaded = client->Execute("LOAD A");
       if (!loaded.ok() || !loaded->ok) return;
       const std::string buf = "buf" + std::to_string(i);
-      auto made = client->Roundtrip("DEDUP A -> " + buf);
+      auto made = client->Execute("DEDUP A -> " + buf);
       if (!made.ok() || !made->ok) return;
       for (size_t j = 0; j < kStoresPerWriter; ++j) {
         const std::string name =
             "w" + std::to_string(i) + "_" + std::to_string(j);
-        auto stored = client->Roundtrip("STORE " + buf + " AS " + name);
+        auto stored = client->Execute("STORE " + buf + " AS " + name);
         if (!stored.ok() || !stored->ok) break;  // drain cut the session
         acked[i].push_back(name);
         progress.fetch_add(1);
