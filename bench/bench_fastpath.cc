@@ -1,12 +1,14 @@
-// Experiment E24 — the vectorized fast-path executor (src/fastpath) vs the
-// pulse-level RTL simulator.
+// Experiment E24 — the fast-path executor (src/fastpath) vs the pulse-level
+// RTL simulator, and vs the software hash operators as a floor.
 //
 // Runs the same large relational operations on two engines over an
 // identical device shape — backend rtl (cycle-accurate simulation) and
-// backend fast (packed bitwise kernels with analytic pulse counts) — and
-// reports, per operation:
+// backend fast (hash probes and plain loops with analytic pulse counts) —
+// and reports, per operation:
 //
 //   * wall-clock time for both backends and the speedup ratio,
+//   * wall-clock time of the matching rel::hashops call (the floor the fast
+//     backend is judged against; selection has none) and fast/floor,
 //   * the pulse count from both (asserted identical: the analytic-timing
 //     contract),
 //   * bit-identical result relations (asserted).
@@ -28,6 +30,7 @@
 #include "bench_util.h"
 #include "core/engine.h"
 #include "fastpath/backend.h"
+#include "relational/ops_hash.h"
 
 namespace {
 
@@ -66,14 +69,17 @@ int main(int argc, char** argv) {
   std::printf("=== E24: fast-path executor vs RTL simulation (n=%zu, "
               "join n=%zu) ===\n",
               n, join_n);
-  std::printf("%-12s %-12s %-12s %-12s %-10s\n", "op", "pulses", "rtl_ms",
-              "fast_ms", "speedup");
+  std::printf("%-12s %-12s %-12s %-12s %-12s %-10s %-10s\n", "op", "pulses",
+              "rtl_ms", "fast_ms", "floor_ms", "speedup", "fast/floor");
 
   double rtl_total_ns = 0;
   double fast_total_ns = 0;
+  // `floor` is the rel::hashops call computing the same relation; null for
+  // operations the hash operators do not cover.
   const auto run_case =
       [&](const char* name,
-          const std::function<Result<EngineResult>(Engine&)>& body) {
+          const std::function<Result<EngineResult>(Engine&)>& body,
+          const std::function<Result<rel::Relation>()>& floor) {
         const auto rtl_start = std::chrono::steady_clock::now();
         const EngineResult rtl_run = Unwrap(body(rtl));
         const double rtl_ns = WallNs(rtl_start);
@@ -87,36 +93,58 @@ int main(int argc, char** argv) {
             << " != simulated " << rtl_run.stats.cycles;
         rtl_total_ns += rtl_ns;
         fast_total_ns += fast_ns;
-        std::printf("%-12s %-12zu %-12.3f %-12.3f %-10.1f\n", name,
+        char floor_ms[32] = "—";
+        char fast_over_floor[32] = "—";
+        if (floor) {
+          const auto floor_start = std::chrono::steady_clock::now();
+          Unwrap(floor());
+          const double floor_ns = WallNs(floor_start);
+          std::snprintf(floor_ms, sizeof floor_ms, "%.3f", floor_ns / 1e6);
+          std::snprintf(fast_over_floor, sizeof fast_over_floor, "%.2f",
+                        fast_ns / floor_ns);
+        }
+        // printf pads by bytes; the 3-byte em dash fills one column.
+        const int floor_width = floor ? 12 : 14;
+        std::printf("%-12s %-12zu %-12.3f %-12.3f %-*s %-10.1f %s\n", name,
                     rtl_run.stats.cycles, rtl_ns / 1e6, fast_ns / 1e6,
-                    rtl_ns / fast_ns);
+                    floor_width, floor_ms, rtl_ns / fast_ns, fast_over_floor);
         json.Case(name, static_cast<double>(rtl_run.stats.cycles), rtl_ns,
                   "rtl");
         json.Case(name, static_cast<double>(fast_run.stats.cycles), fast_ns,
                   "fast");
       };
 
-  run_case("intersect", [&](Engine& e) {
-    return e.Intersect(pair.a, pair.b);
-  });
-  run_case("subtract", [&](Engine& e) { return e.Subtract(pair.a, pair.b); });
-  run_case("dedup", [&](Engine& e) { return e.RemoveDuplicates(pair.a); });
-  run_case("join_eq", [&](Engine& e) {
-    return e.Join(join_pair.a, join_pair.b,
-                  rel::JoinSpec{{0}, {0}, rel::ComparisonOp::kEq});
-  });
-  run_case("join_lt", [&](Engine& e) {
-    return e.Join(join_pair.a, join_pair.b,
-                  rel::JoinSpec{{0}, {0}, rel::ComparisonOp::kLt});
-  });
-  run_case("divide", [&](Engine& e) {
-    return e.Divide(join_pair.a, divisor, rel::DivisionSpec{{1}, {0}});
-  });
-  run_case("select", [&](Engine& e) {
-    return e.Select(pair.a,
-                    {{0, rel::ComparisonOp::kLt, 512},
-                     {2, rel::ComparisonOp::kGe, 16}});
-  });
+  const rel::JoinSpec eq{{0}, {0}, rel::ComparisonOp::kEq};
+  const rel::JoinSpec lt{{0}, {0}, rel::ComparisonOp::kLt};
+  const rel::DivisionSpec by_second{{1}, {0}};
+  run_case(
+      "intersect", [&](Engine& e) { return e.Intersect(pair.a, pair.b); },
+      [&] { return rel::hashops::Intersection(pair.a, pair.b); });
+  run_case(
+      "subtract", [&](Engine& e) { return e.Subtract(pair.a, pair.b); },
+      [&] { return rel::hashops::Difference(pair.a, pair.b); });
+  run_case(
+      "dedup", [&](Engine& e) { return e.RemoveDuplicates(pair.a); },
+      [&] { return rel::hashops::RemoveDuplicates(pair.a); });
+  run_case(
+      "join_eq",
+      [&](Engine& e) { return e.Join(join_pair.a, join_pair.b, eq); },
+      [&] { return rel::hashops::Join(join_pair.a, join_pair.b, eq); });
+  run_case(
+      "join_lt",
+      [&](Engine& e) { return e.Join(join_pair.a, join_pair.b, lt); },
+      [&] { return rel::hashops::Join(join_pair.a, join_pair.b, lt); });
+  run_case(
+      "divide",
+      [&](Engine& e) { return e.Divide(join_pair.a, divisor, by_second); },
+      [&] { return rel::hashops::Division(join_pair.a, divisor, by_second); });
+  run_case(
+      "select",
+      [&](Engine& e) {
+        return e.Select(pair.a, {{0, rel::ComparisonOp::kLt, 512},
+                                 {2, rel::ComparisonOp::kGe, 16}});
+      },
+      nullptr);
 
   const double speedup = rtl_total_ns / fast_total_ns;
   const double bar = smoke ? 2.0 : 5.0;

@@ -81,7 +81,7 @@ SELECT shipped2 WHERE weight >= 20 -> heavy2
 COMMIT
 PRINT heavy2
 SET PLANNER on
-# rerun a join on the vectorized fast path (same result, analytic pulses)
+# rerun a join on the fast path (same result, analytic pulses)
 SET BACKEND fast
 JOIN supplies parts ON part = part -> detail_fast
 PRINT detail_fast

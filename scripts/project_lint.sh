@@ -21,6 +21,11 @@
 #      src/util/ — everything else uses util::Mutex / util::MutexLock /
 #      util::CondVar (DESIGN §2.10), so clang thread-safety analysis and the
 #      debug lock-order checker see every acquisition.
+#   6. The fast executor stays independent of the software operators: no
+#      file under src/fastpath/ includes relational/ops_hash.h, ops_sort.h
+#      or ops_reference.h. perfbench checks the fast server's replies
+#      against ops_hash and the fuzzers use ops_reference as their oracle,
+#      so a fast path built on either would make both checks circular.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -66,6 +71,13 @@ hits=$(grep -rnE 'std::mutex|std::condition_variable|std::lock_guard|std::unique
   --include='*.cc' --include='*.h' | grep -v '^src/util/' || true)
 if [ -n "$hits" ]; then
   report "raw mutex primitives outside src/util/ (use util::Mutex / util::MutexLock / util::CondVar from util/mutex.h)" "$hits"
+fi
+
+# --- rule 6: the fast executor does not reuse the oracles ------------------
+hits=$(grep -rnE '#include "relational/ops_(hash|sort|reference)\.h"' src/fastpath \
+  --include='*.cc' --include='*.h' || true)
+if [ -n "$hits" ]; then
+  report "src/fastpath includes a software operator (the fast path must not be checked against itself)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -338,8 +338,8 @@ bool Engine::ResolveOverlap() const {
 
 fastpath::Backend Engine::ResolveBackend() const {
   // Fault injection corrupts words inside individual pulses; the analytic
-  // fast path simulates no pulses, so any fast policy silently falls back
-  // to the RTL simulator while a fault plan is installed.
+  // fast path simulates no pulses, so kFast silently falls back to the RTL
+  // simulator while a fault plan is installed.
   if (device_.backend == fastpath::BackendPolicy::kRtl ||
       device_.faults != nullptr) {
     return fastpath::Backend::kRtl;

@@ -53,9 +53,8 @@ struct DeviceConfig {
   faults::RecoveryOptions recovery;
   /// Which executor runs the tile passes. kRtl (the default) pulses the
   /// cycle-accurate simulator; kFast computes identical tile results with
-  /// the packed kernels of src/fastpath and reports analytic cycle counts;
-  /// kAuto means fast whenever pulse-level fidelity is not required. Both
-  /// fast policies fall back to the RTL simulator while `faults` is
+  /// the hash probes and loops of src/fastpath and reports analytic cycle
+  /// counts. kFast falls back to the RTL simulator while `faults` is
   /// installed (injection corrupts individual pulses, which only the
   /// simulator models). Surfaced in the shell as `SET BACKEND`.
   fastpath::BackendPolicy backend = fastpath::BackendPolicy::kRtl;
@@ -259,7 +258,7 @@ class Engine {
   arrays::FeedMode ResolveMode(size_t n_a, size_t n_b) const;
 
   /// The executor the engine's passes will run on: the device's backend
-  /// policy, with kFast/kAuto forced back to the RTL simulator while a
+  /// policy, with kFast forced back to the RTL simulator while a
   /// fault plan is installed (fault injection needs pulse-level fidelity).
   fastpath::Backend ResolveBackend() const;
 

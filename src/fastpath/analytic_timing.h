@@ -10,10 +10,10 @@ namespace fastpath {
 
 /// Closed-form pulse counts for the §3/§8 arrays, exact to the cycle.
 ///
-/// The fast path computes *results* with packed bitwise kernels (kernels.h)
-/// but reports *timing* from these formulas, which reproduce the RTL
-/// simulator's quiescence cycle exactly — not approximately — on every shape
-/// the engine can emit. They extend the §3.2/§8 exit-pulse closed forms
+/// The fast path computes *results* with hash probes and plain loops
+/// (backend.cc) but reports *timing* from these formulas, which reproduce
+/// the RTL simulator's quiescence cycle exactly — not approximately — on
+/// every shape the engine can emit. They extend the §3.2/§8 exit-pulse closed forms
 /// (pair (i,j) leaves the marching grid at pulse i+j+m+(R-1)/2+1, the
 /// fixed-B grid at i+j+m+1; accumulated t_i leaves the column at 2i+m+R+1)
 /// to full-run quiescence, which adds the drain of the longer operand and

@@ -4,27 +4,21 @@
 #include <bit>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "fastpath/analytic_timing.h"
-#include "fastpath/kernels.h"
+#include "relational/tuple_hash.h"
 
 namespace systolic {
 namespace fastpath {
 
 using arrays::FeedMode;
 using rel::Relation;
+using rel::Tuple;
 
 const char* BackendPolicyToString(BackendPolicy policy) {
-  switch (policy) {
-    case BackendPolicy::kRtl:
-      return "rtl";
-    case BackendPolicy::kFast:
-      return "fast";
-    case BackendPolicy::kAuto:
-      return "auto";
-  }
-  return "rtl";
+  return policy == BackendPolicy::kFast ? "fast" : "rtl";
 }
 
 const char* BackendToString(Backend backend) {
@@ -36,8 +30,6 @@ bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy) {
     *policy = BackendPolicy::kRtl;
   } else if (text == "fast") {
     *policy = BackendPolicy::kFast;
-  } else if (text == "auto") {
-    *policy = BackendPolicy::kAuto;
   } else {
     return false;
   }
@@ -62,6 +54,14 @@ Status CheckGridCapacity(FeedMode mode, size_t n_a, size_t n_b, size_t rows) {
                             std::to_string(max_b) + " per pass");
   }
   return Status::OK();
+}
+
+/// Overwrites `key` with `tuple`'s values at `columns`: the compared
+/// sub-tuple the grid's equality cells see. Reusing one buffer keeps a
+/// probe allocation-free.
+void KeyOf(const Tuple& tuple, const std::vector<size_t>& columns, Tuple* key) {
+  key->clear();
+  for (size_t c : columns) key->push_back(tuple[c]);
 }
 
 }  // namespace
@@ -89,7 +89,31 @@ Result<BitVector> FastMembership(const Relation& a, const Relation& b,
                                     options.rows);
     info->sim = sim::SimStats{};
   }
-  return MembershipBits(a, b, a_columns, b_columns, edge_rule);
+  // Bit i is set iff some admitted b_j has a_i's key. The §5 lower-triangle
+  // rule admits j < min(i, n_b), so the set grows by b_{i-1} just before
+  // a_i is probed.
+  const std::vector<Tuple>& as = a.tuples();
+  const std::vector<Tuple>& bs = b.tuples();
+  const bool triangle = edge_rule == arrays::EdgeRule::kStrictLowerTriangle;
+  std::unordered_set<Tuple, rel::TupleHash> keys;
+  keys.reserve(bs.size());
+  Tuple key;
+  if (!triangle) {
+    for (const Tuple& tb : bs) {
+      KeyOf(tb, b_columns, &key);
+      keys.insert(key);
+    }
+  }
+  BitVector bits(as.size(), false);
+  for (size_t i = 0; i < as.size(); ++i) {
+    if (triangle && i > 0 && i <= bs.size()) {
+      KeyOf(bs[i - 1], b_columns, &key);
+      keys.insert(key);
+    }
+    KeyOf(as[i], a_columns, &key);
+    if (keys.contains(key)) bits.Set(i, true);
+  }
+  return bits;
 }
 
 Result<arrays::JoinArrayResult> FastJoin(const Relation& a, const Relation& b,
@@ -111,11 +135,45 @@ Result<arrays::JoinArrayResult> FastJoin(const Relation& a, const Relation& b,
   result.info.cycles =
       JoinCycles(options.mode, a.num_tuples(), b.num_tuples(),
                  spec.left_columns.size(), options.rows);
-  result.matches =
-      JoinMatches(a, b, spec.left_columns, spec.right_columns, spec.op);
-  for (const auto& [i, j] : result.matches) {
-    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(
-        rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec)));
+  // Matches come out (i, j)-lexicographic, the order SystolicJoin's sorted
+  // sink harvest produces: A is walked in order, and each A tuple meets
+  // its B partners in ascending j.
+  const std::vector<Tuple>& as = a.tuples();
+  const std::vector<Tuple>& bs = b.tuples();
+  const auto emit = [&](size_t i, size_t j) {
+    result.matches.emplace_back(i, j);
+    return result.relation.Append(rel::JoinConcatenate(as[i], bs[j], spec));
+  };
+  if (spec.op == rel::ComparisonOp::kEq) {
+    std::unordered_map<Tuple, std::vector<size_t>, rel::TupleHash> partners;
+    Tuple key;
+    for (size_t j = 0; j < bs.size(); ++j) {
+      KeyOf(bs[j], spec.right_columns, &key);
+      partners[key].push_back(j);
+    }
+    for (size_t i = 0; i < as.size(); ++i) {
+      KeyOf(as[i], spec.left_columns, &key);
+      const auto it = partners.find(key);
+      if (it == partners.end()) continue;
+      for (size_t j : it->second) SYSTOLIC_RETURN_NOT_OK(emit(i, j));
+    }
+    return result;
+  }
+  // θ-joins: every compared column must satisfy the op, as every column
+  // of the grid's comparators must.
+  const auto holds = [&spec](const Tuple& ta, const Tuple& tb) {
+    for (size_t c = 0; c < spec.left_columns.size(); ++c) {
+      if (!rel::ApplyComparison(spec.op, ta[spec.left_columns[c]],
+                                tb[spec.right_columns[c]])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (size_t i = 0; i < as.size(); ++i) {
+    for (size_t j = 0; j < bs.size(); ++j) {
+      if (holds(as[i], bs[j])) SYSTOLIC_RETURN_NOT_OK(emit(i, j));
+    }
   }
   return result;
 }
@@ -224,15 +282,17 @@ Result<arrays::SelectionResult> FastSelect(
     arrays::SelectionResult empty(Relation(a.schema(), rel::RelationKind::kSet));
     return empty;
   }
-  std::vector<size_t> columns;
-  std::vector<rel::ComparisonOp> ops;
-  std::vector<rel::Code> constants;
-  for (const arrays::SelectionPredicate& p : predicates) {
-    columns.push_back(p.column);
-    ops.push_back(p.op);
-    constants.push_back(p.constant);
+  // The selection cell compares the tuple element (left) to its preloaded
+  // constant (right); bit i is the AND over every predicate's cell.
+  BitVector bits(a.num_tuples(), false);
+  for (size_t i = 0; i < a.num_tuples(); ++i) {
+    const Tuple& t = a.tuples()[i];
+    bits.Set(i, std::all_of(predicates.begin(), predicates.end(),
+                            [&t](const arrays::SelectionPredicate& p) {
+                              return rel::ApplyComparison(p.op, t[p.column],
+                                                          p.constant);
+                            }));
   }
-  BitVector bits = SelectionBits(a, columns, ops, constants);
   SYSTOLIC_ASSIGN_OR_RETURN(Relation out,
                             a.Filter(bits, rel::RelationKind::kSet));
   arrays::SelectionResult result(std::move(out));

@@ -279,7 +279,7 @@ void CommandInterpreter::PrintBackendPolicy() {
   const fastpath::BackendPolicy policy = machine_->backend_policy();
   if (policy == fastpath::BackendPolicy::kRtl) return;
   (*out_) << "-- backend: " << fastpath::BackendPolicyToString(policy)
-          << " (packed bitwise kernels, analytic pulse counts";
+          << " (hash probes and loops, analytic pulse counts";
   if (machine_->config().device.faults != nullptr) {
     (*out_) << "; falls back to rtl while faults are installed";
   }
@@ -426,8 +426,8 @@ void CommandInterpreter::PrintHelp() {
           << "--   OPEN <dir> | CHECKPOINT  (crash-safe durability)\n"
           << "--   SET PLANNER on|off | SET DURABILITY on|off | "
              "SET FAULTS seed=<n> ... | SET FAULTS off\n"
-          << "--   SET BACKEND rtl|fast|auto  (fast: packed bitwise kernels "
-             "with analytic pulse counts)\n"
+          << "--   SET BACKEND rtl|fast  (fast: hash probes and loops with "
+             "analytic pulse counts)\n"
           << "--   SET MEMORY overlap=on|off|auto  (scratchpad "
              "double-buffering of tile feeds)\n"
           << "--   SET SESSION ISOLATION snapshot  (server sessions)\n"
@@ -601,7 +601,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
       if (tokens.size() != 3 || !fastpath::ParseBackendPolicy(tokens[2],
                                                               &policy)) {
         return Status::InvalidArgument(
-            "usage: SET BACKEND <value>; valid values: rtl, fast, auto");
+            "usage: SET BACKEND <value>; valid values: rtl, fast");
       }
       machine_->SetBackendPolicy(policy);
       (*out_) << "-- backend " << tokens[2] << "\n";

@@ -167,9 +167,9 @@ class Machine {
                         faults::RecoveryOptions recovery = {});
 
   /// Selects the execution backend for every device of the machine and
-  /// rebuilds the engines. Fast policies still fall back to the RTL
-  /// simulator per Engine::ResolveBackend whenever a fault plan is
-  /// installed. Surfaced in the shell as `SET BACKEND rtl|fast|auto`.
+  /// rebuilds the engines. kFast still falls back to the RTL simulator per
+  /// Engine::ResolveBackend whenever a fault plan is installed. Surfaced in
+  /// the shell as `SET BACKEND rtl|fast`.
   void SetBackendPolicy(fastpath::BackendPolicy policy);
   fastpath::BackendPolicy backend_policy() const {
     return config_.device.backend;

@@ -1,8 +1,8 @@
-// Fast-path differential fuzzing: the gate for the vectorized executor.
+// Fast-path differential fuzzing: the gate for the fast executor.
 // Every point builds TWO engines over the same device shape — backend rtl
-// (the pulse-level simulator) and backend fast (packed SWAR kernels with
-// analytic timing) — runs every relational operation on both plus the
-// reference nested-loop oracle, and requires:
+// (the pulse-level simulator) and backend fast (hash probes and plain
+// loops with analytic timing) — runs every relational operation on both
+// plus the reference nested-loop oracle, and requires:
 //   * bit-identical result relations (tuple order included),
 //   * identical pass counts, pulse totals, and makespan pulses
 //     (the analytic-timing contract: closed forms equal simulation),

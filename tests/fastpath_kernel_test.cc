@@ -1,8 +1,9 @@
-// Golden-value tests for the fast-path SWAR kernels and the analytic timing
-// contract (DESIGN S23). Each kernel is pinned against the per-pulse RTL
+// Golden-value tests for the fast-path tile drivers and the analytic timing
+// contract (DESIGN S23). Each driver is pinned against the per-pulse RTL
 // cell semantics — the simulated arrays themselves — at the word-size
-// boundaries where packed bit arithmetic goes wrong first (1, 63, 64, 65
-// pair bits) and at the widest domain codes the cells compare. The timing
+// boundaries of the arrays' result bit vectors (1, 63, 64, 65 tuples), on
+// every comparison op, on multi-column keys, and at the widest domain codes
+// the cells compare. The timing
 // sweeps assert the closed forms in fastpath/analytic_timing equal the
 // simulator's quiescence cycle on every covered shape; a dataflow change
 // that shifts the RTL by one pulse fails here, not in the field.
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arrays/division_array.h"
@@ -21,7 +23,6 @@
 #include "core/engine.h"
 #include "fastpath/analytic_timing.h"
 #include "fastpath/backend.h"
-#include "fastpath/kernels.h"
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "test_util.h"
@@ -53,30 +54,35 @@ Relation MakeRel(const Schema& schema, size_t n, size_t arity, int64_t domain,
   return r;
 }
 
-/// The word-size boundary cases: a single pair bit, one word minus a bit,
+/// The word-size boundary cases: a single bit, one word minus a bit,
 /// exactly one word, and one word plus one bit.
 const size_t kBoundarySizes[] = {1, 63, 64, 65};
 
 TEST(FastpathKernels, MembershipMatchesRtlAtWordBoundaries) {
   const Schema schema = rel::MakeIntSchema(2);
   for (const size_t n_b : kBoundarySizes) {
-    for (const size_t n_a : {size_t{1}, size_t{7}}) {
+    for (const size_t n_a : {size_t{1}, size_t{7}, size_t{70}}) {
       const Relation a = MakeRel(schema, n_a, 2, 5, n_b);
       const Relation b = MakeRel(schema, n_b, 2, 5, n_b + 1);
       const std::vector<size_t> cols{0, 1};
-      for (const EdgeRule rule :
-           {EdgeRule::kAllTrue, EdgeRule::kStrictLowerTriangle}) {
+      // Dedup tiles compare a block against itself (b against b); the
+      // lower-triangle rule also runs with n_a != n_b, where it admits
+      // j < min(i, n_b).
+      const std::pair<EdgeRule, const Relation*> cases[] = {
+          {EdgeRule::kAllTrue, &a},
+          {EdgeRule::kStrictLowerTriangle, &b},
+          {EdgeRule::kStrictLowerTriangle, &a}};
+      for (const auto& [rule, lhs] : cases) {
         for (const FeedMode mode : {FeedMode::kMarching, FeedMode::kFixedB}) {
           arrays::MembershipOptions options;
           options.mode = mode;
-          // Dedup tiles compare a block against itself; mirror that for the
-          // lower-triangle rule so the RTL reference is the real use.
-          const Relation& lhs = rule == EdgeRule::kAllTrue ? a : b;
-          auto rtl = RunMembership(lhs, b, cols, cols, rule, options, nullptr);
+          auto rtl = RunMembership(*lhs, b, cols, cols, rule, options, nullptr);
           ASSERT_OK(rtl);
-          const BitVector fast = MembershipBits(lhs, b, cols, cols, rule);
-          EXPECT_EQ(*rtl, fast)
-              << "n_a=" << n_a << " n_b=" << n_b << " rule "
+          auto fast =
+              FastMembership(*lhs, b, cols, cols, rule, options, nullptr);
+          ASSERT_OK(fast);
+          EXPECT_EQ(*rtl, *fast)
+              << "n_a=" << lhs->num_tuples() << " n_b=" << n_b << " rule "
               << static_cast<int>(rule) << " mode " << static_cast<int>(mode);
         }
       }
@@ -86,7 +92,7 @@ TEST(FastpathKernels, MembershipMatchesRtlAtWordBoundaries) {
 
 TEST(FastpathKernels, MembershipMatchesRtlAtMaxDomainWidth) {
   // Full-width codes: every bit of the compared word participates, so a
-  // masking or sign bug in the packed comparators shows up here.
+  // masking or sign bug in the comparators shows up here.
   const Schema schema = rel::MakeIntSchema(1);
   const int64_t kHuge = INT64_MAX - 1;
   Relation a(schema, rel::RelationKind::kMulti);
@@ -101,7 +107,10 @@ TEST(FastpathKernels, MembershipMatchesRtlAtMaxDomainWidth) {
   auto rtl = RunMembership(a, b, cols, cols, EdgeRule::kAllTrue,
                            arrays::MembershipOptions{}, nullptr);
   ASSERT_OK(rtl);
-  EXPECT_EQ(*rtl, MembershipBits(a, b, cols, cols, EdgeRule::kAllTrue));
+  auto fast = FastMembership(a, b, cols, cols, EdgeRule::kAllTrue,
+                             arrays::MembershipOptions{}, nullptr);
+  ASSERT_OK(fast);
+  EXPECT_EQ(*rtl, *fast);
 }
 
 TEST(FastpathKernels, JoinMatchesRtlAtWordBoundaries) {
@@ -110,13 +119,23 @@ TEST(FastpathKernels, JoinMatchesRtlAtWordBoundaries) {
     const Relation a = MakeRel(schema, 6, 2, 4, 3);
     const Relation b = MakeRel(schema, n_b, 2, 4, 4);
     for (const rel::ComparisonOp op :
-         {rel::ComparisonOp::kEq, rel::ComparisonOp::kLt,
-          rel::ComparisonOp::kGe, rel::ComparisonOp::kNe}) {
-      rel::JoinSpec spec{{0}, {0}, op};
-      auto rtl = arrays::SystolicJoin(a, b, spec);
-      ASSERT_OK(rtl);
-      EXPECT_EQ(rtl->matches, JoinMatches(a, b, {0}, {0}, op))
-          << "n_b=" << n_b << " op " << rel::ComparisonOpToString(op);
+         {rel::ComparisonOp::kEq, rel::ComparisonOp::kNe,
+          rel::ComparisonOp::kLt, rel::ComparisonOp::kLe,
+          rel::ComparisonOp::kGt, rel::ComparisonOp::kGe}) {
+      // One compared column, and a two-column key: the equi-join probes a
+      // multi-column hash key, a θ-join ANDs the op over both columns.
+      for (const std::vector<size_t>& cols :
+           {std::vector<size_t>{0}, std::vector<size_t>{0, 1}}) {
+        rel::JoinSpec spec{cols, cols, op};
+        auto rtl = arrays::SystolicJoin(a, b, spec);
+        ASSERT_OK(rtl);
+        auto fast = FastJoin(a, b, spec, arrays::JoinArrayOptions{});
+        ASSERT_OK(fast);
+        EXPECT_EQ(rtl->matches, fast->matches)
+            << "n_b=" << n_b << " op " << rel::ComparisonOpToString(op)
+            << " columns " << cols.size();
+        EXPECT_EQ(rtl->relation.tuples(), fast->relation.tuples());
+      }
     }
   }
 }
@@ -130,28 +149,69 @@ TEST(FastpathKernels, SelectionMatchesRtlAtWordBoundaries) {
         {0, rel::ComparisonOp::kGe, 2}, {1, rel::ComparisonOp::kLt, 5}};
     auto rtl = arrays::SystolicSelect(a, predicates);
     ASSERT_OK(rtl);
-    const BitVector fast =
-        SelectionBits(a, {0, 1}, {rel::ComparisonOp::kGe, rel::ComparisonOp::kLt},
-                      {2, 5});
-    EXPECT_EQ(rtl->selected, fast) << "n_a=" << n_a;
+    auto fast = FastSelect(a, predicates);
+    ASSERT_OK(fast);
+    EXPECT_EQ(rtl->selected, fast->selected) << "n_a=" << n_a;
   }
 }
 
-TEST(FastpathKernels, MatchMaskWordsZeroesTailBits) {
-  // Bits past n_b must stay clear or a later popcount / harvest overcounts.
-  const Schema schema = rel::MakeIntSchema(1);
-  Relation b(schema, rel::RelationKind::kMulti);
-  for (size_t j = 0; j < 65; ++j) {
-    SYSTOLIC_CHECK(b.Append({0}).ok());  // every pair matches
+TEST(FastpathKernels, MembershipKeysEachSideOnItsOwnColumns) {
+  // A's key is read from a_columns and B's from b_columns, in list order:
+  // every a (x, y) matches its mirror b (y, x) under {1, 0} / {0, 1}, while
+  // under {0, 1} / {0, 1} only tuples with a mirrored twin in b match. The
+  // all-matching run also pins that no bit past n_a is set.
+  const Schema schema = rel::MakeIntSchema(2);
+  for (const size_t n : kBoundarySizes) {
+    const Relation a = MakeRel(schema, n, 2, 3, n + 5);
+    Relation b(schema, rel::RelationKind::kMulti);
+    for (const rel::Tuple& t : a.tuples()) {
+      SYSTOLIC_CHECK(b.Append({t[1], t[0]}).ok());
+    }
+    const std::vector<size_t> swapped{1, 0};
+    const std::vector<size_t> straight{0, 1};
+    for (const auto& a_cols : {swapped, straight}) {
+      for (const EdgeRule rule :
+           {EdgeRule::kAllTrue, EdgeRule::kStrictLowerTriangle}) {
+        auto rtl = RunMembership(a, b, a_cols, straight, rule,
+                                 arrays::MembershipOptions{}, nullptr);
+        ASSERT_OK(rtl);
+        auto fast = FastMembership(a, b, a_cols, straight, rule,
+                                   arrays::MembershipOptions{}, nullptr);
+        ASSERT_OK(fast);
+        EXPECT_EQ(*rtl, *fast) << "n=" << n << " swapped "
+                               << (a_cols == swapped) << " rule "
+                               << static_cast<int>(rule);
+        if (a_cols == swapped && rule == EdgeRule::kAllTrue) {
+          EXPECT_EQ(fast->size(), n);
+          EXPECT_EQ(fast->CountOnes(), n);
+        }
+      }
+    }
   }
-  const rel::Tuple a_i{0};
-  const std::vector<std::vector<rel::Code>> packed{PackColumn(b, 0)};
-  const auto words =
-      MatchMaskWords(a_i, 0, {0}, packed, {rel::ComparisonOp::kEq},
-                     EdgeRule::kAllTrue, 65);
-  ASSERT_EQ(words.size(), 2u);
-  EXPECT_EQ(words[0], ~uint64_t{0});
-  EXPECT_EQ(words[1], uint64_t{1});  // only bit 64 of 65 survives
+}
+
+TEST(FastpathKernels, JoinKeysEachSideOnItsOwnColumns) {
+  // A permuted two-column key ({1, 0} on A, {0, 1} on B) on every op: the
+  // equi-join's hash key and the θ-join's per-column compares must pair
+  // A's column 1 with B's column 0 and A's column 0 with B's column 1.
+  // Both columns share one domain so the crossed pairs are comparable.
+  const rel::Column c = rel::MakeIntSchema(1).column(0);
+  const Schema schema({{"c0", c.domain}, {"c1", c.domain}});
+  const Relation a = MakeRel(schema, 9, 2, 3, 11);
+  const Relation b = MakeRel(schema, 65, 2, 3, 12);
+  for (const rel::ComparisonOp op :
+       {rel::ComparisonOp::kEq, rel::ComparisonOp::kNe,
+        rel::ComparisonOp::kLt, rel::ComparisonOp::kLe,
+        rel::ComparisonOp::kGt, rel::ComparisonOp::kGe}) {
+    rel::JoinSpec spec{{1, 0}, {0, 1}, op};
+    auto rtl = arrays::SystolicJoin(a, b, spec);
+    ASSERT_OK(rtl);
+    auto fast = FastJoin(a, b, spec, arrays::JoinArrayOptions{});
+    ASSERT_OK(fast);
+    EXPECT_FALSE(rtl->matches.empty()) << rel::ComparisonOpToString(op);
+    EXPECT_EQ(rtl->matches, fast->matches) << rel::ComparisonOpToString(op);
+    EXPECT_EQ(rtl->relation.tuples(), fast->relation.tuples());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -284,10 +344,10 @@ TEST(Backend, ParseAndPrintPolicies) {
   EXPECT_EQ(policy, BackendPolicy::kRtl);
   EXPECT_TRUE(ParseBackendPolicy("fast", &policy));
   EXPECT_EQ(policy, BackendPolicy::kFast);
-  EXPECT_TRUE(ParseBackendPolicy("auto", &policy));
-  EXPECT_EQ(policy, BackendPolicy::kAuto);
+  // "auto" was an alias of "fast" and no longer parses.
+  EXPECT_FALSE(ParseBackendPolicy("auto", &policy));
   EXPECT_FALSE(ParseBackendPolicy("turbo", &policy));
-  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kAuto), "auto");
+  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kFast), "fast");
   EXPECT_STREQ(BackendToString(Backend::kFast), "fast");
 }
 
@@ -404,33 +464,13 @@ TEST(Backend, FastSelectVacuousAndEmptyCases) {
   EXPECT_EQ(none->relation.num_tuples(), 0u);
 }
 
-TEST(FastpathKernels, MatchMaskDiesEarlyOnFirstColumn) {
-  // An A value matching nothing clears every word on the first compared
-  // column; the kernel must stop refining (the dead-grid shortcut) and
-  // still report an all-zero mask.
-  const Schema schema = rel::MakeIntSchema(2);
-  Relation b(schema, rel::RelationKind::kMulti);
-  for (int64_t j = 0; j < 70; ++j) {
-    SYSTOLIC_CHECK(b.Append({j % 5, j % 3}).ok());
-  }
-  const rel::Tuple a_i{1000, 0};  // no b has column 0 == 1000
-  const std::vector<std::vector<rel::Code>> packed{PackColumn(b, 0),
-                                                   PackColumn(b, 1)};
-  const auto words = MatchMaskWords(
-      a_i, 0, {0, 1}, packed, {rel::ComparisonOp::kEq, rel::ComparisonOp::kEq},
-      EdgeRule::kAllTrue, 70);
-  for (uint64_t word : words) EXPECT_EQ(word, 0u);
-}
-
 TEST(Backend, EngineResolvesFaultFallback) {
   db::DeviceConfig device;
   device.backend = BackendPolicy::kFast;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kFast);
-  device.backend = BackendPolicy::kAuto;
-  EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kFast);
   device.backend = BackendPolicy::kRtl;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kRtl);
-  // Fault injection needs pulse-level fidelity: fast policies fall back.
+  // Fault injection needs pulse-level fidelity: kFast falls back.
   device.backend = BackendPolicy::kFast;
   device.faults = std::make_shared<faults::FaultPlan>(
       faults::FaultPlan::Uniform(7, 2, 0.01, 0.0, 0.0));
