@@ -14,8 +14,9 @@
 #      writer of last resort).
 #   4. Memory-module read accounting goes through the scratchpad layer
 #      (DESIGN S25): AccountRead is called ONLY inside src/system/scratchpad
-#      — engine and machine code feed the crossbar via spad::CrossbarFeed /
-#      ScratchpadBank so every modeled byte is costed by the DMA model.
+#      — machine code feeds the crossbar via spad::CrossbarFeed, and engine
+#      tiles charge their blocks' bytes to the DMA queue, so every modeled
+#      byte is costed by the DMA model.
 #   5. Raw mutex primitives (std::mutex / std::condition_variable /
 #      .lock() / .unlock() / lock_guard / unique_lock) appear ONLY in
 #      src/util/ — everything else uses util::Mutex / util::MutexLock /

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
+#include <deque>
 #include <optional>
+#include <unordered_map>
 
 #include "arrays/dedup_array.h"
 #include "arrays/division_array.h"
@@ -13,6 +14,7 @@
 #include "faults/checksum.h"
 #include "faults/fault_scope.h"
 #include "perfmodel/estimates.h"
+#include "relational/tuple_hash.h"
 #include "system/scratchpad/memory.h"
 #include "system/scratchpad/scratchpad.h"
 #include "systolic/schedule.h"
@@ -185,26 +187,31 @@ Status Engine::RunTiled(
 
 namespace {
 
-/// Tuples [start, start + count) of `source` (clamped to its size): one
-/// operand feed of a tile.
-struct OperandRange {
-  const Relation* source = nullptr;
+/// One operand feed of a tile: a block no larger than the array, and the
+/// offset of its first tuple in the operand it was cut from.
+struct Block {
+  const Relation* tuples = nullptr;
   size_t start = 0;
-  size_t count = 0;
 };
 
 struct Tile {
-  OperandRange a;
-  /// The B feed, preloaded into its own bank. Empty when the array's B
-  /// edge taps A's bank (a dedup diagonal compares a block against itself)
-  /// or there is no B operand (selection's constants live in the cells):
-  /// one mvin, no preload, and the kernel sees A's block on both sides.
-  std::optional<OperandRange> b;
+  Block a;
+  /// The B feed, preloaded into its own bank. Null when the array's B edge
+  /// taps A's bank (a dedup diagonal compares a block against itself) or
+  /// there is no B operand (selection's constants live in the cells): one
+  /// mvin, no preload, and the kernel sees A's block on both sides.
+  Block b;
 };
 
 }  // namespace
 
 struct Engine::TilePlan {
+  TilePlan() = default;
+  /// Tiles point into `slices`, so a copy's tiles would point into this
+  /// plan's blocks.
+  TilePlan(const TilePlan&) = delete;
+  TilePlan& operator=(const TilePlan&) = delete;
+
   /// The feed discipline the family resolved (membership and join block by
   /// it); stamped into ExecStats::resolved_mode.
   FeedMode mode = FeedMode::kMarching;
@@ -212,16 +219,37 @@ struct Engine::TilePlan {
   /// Passes charged without running a tile, when an operand is empty:
   /// pulses_per_op counts them, and they cost no pulse and move no byte.
   size_t trivial_passes = 0;
+  /// The slices Split cut. A deque never moves an element it holds, so
+  /// tiles may point into it while it grows.
+  std::deque<Relation> slices;
+
+  /// `source` cut into blocks of at most `cap` tuples, in order: none when
+  /// it is empty, `source` itself when it fits (so an untiled operation
+  /// copies nothing), and otherwise `cap`-tuple slices with a shorter last
+  /// one. Each operand is split once per operation; tiles share the blocks.
+  std::vector<Block> Split(const Relation& source, size_t cap) {
+    const size_t n = source.num_tuples();
+    if (n <= cap) {
+      return n == 0 ? std::vector<Block>{} : std::vector<Block>{{&source, 0}};
+    }
+    std::vector<Block> blocks;
+    for (size_t start = 0; start < n; start += cap) {
+      const size_t end = std::min(start + cap, n);
+      Relation& slice = slices.emplace_back(source.schema(),
+                                            rel::RelationKind::kMulti);
+      for (size_t i = start; i < end; ++i) {
+        SYSTOLIC_CHECK(slice.Append(source.tuple(i)).ok());
+      }
+      blocks.push_back({&slice, start});
+    }
+    return blocks;
+  }
 };
 
 struct Engine::TilePass {
   ArrayRunInfo info;
-  /// Bytes the tile's feed moves. The kernel sets `out`, its result drained
-  /// through mvout; ExecuteTiles sets `in_a` (mvin) and `in_b` (preload, 0
-  /// when B taps A's bank or is absent).
+  /// Bytes of the tile's result, drained through mvout.
   double out = 0;
-  double in_a = 0;
-  double in_b = 0;
 };
 
 Status Engine::ExecuteTiles(
@@ -245,26 +273,14 @@ Status Engine::ExecuteTiles(
   SYSTOLIC_RETURN_NOT_OK(RunTiled(
       plan.tiles.size(),
       [&](size_t t) -> Status {
+        // Blocks are immutable, so a retried attempt reads the same feed.
         const Tile& tile = plan.tiles[t];
-        // Per-attempt banks: a retried attempt re-stages its operand feed
-        // from scratch, so it never sees a half-drained bank.
-        spad::ScratchpadBank bank_a;
-        spad::ScratchpadBank bank_b;
-        const Relation block_a =
-            bank_a.Stage(*tile.a.source, tile.a.start, tile.a.count);
-        std::optional<Relation> block_b;
-        if (tile.b.has_value()) {
-          block_b = bank_b.Stage(*tile.b->source, tile.b->start, tile.b->count);
-        }
+        const Relation& block_a = *tile.a.tuples;
         SYSTOLIC_ASSIGN_OR_RETURN(
-            passes[t], kernel(t, block_a, block_b ? *block_b : block_a,
-                              backend));
-        // The accepted attempt's feed streams out of the banks into the
-        // array exactly once.
-        bank_a.Drain(bank_a.staged_bytes());
-        bank_b.Drain(bank_b.staged_bytes());
-        passes[t].in_a = bank_a.staged_bytes();
-        passes[t].in_b = bank_b.staged_bytes();
+            passes[t],
+            kernel(t, block_a, tile.b.tuples != nullptr ? *tile.b.tuples
+                                                        : block_a,
+                   backend));
         return Status::OK();
       },
       checksum, stats));
@@ -300,8 +316,13 @@ Status Engine::ExecuteTiles(
   for (const std::vector<size_t>& tiles : tiles_of_chip) {
     spad::DmaQueue queue(overlap);
     for (const size_t t : tiles) {
-      queue.Mvin(t, passes[t].in_a);
-      queue.Preload(t, passes[t].in_b);
+      // The accepted attempt's feed: A's block into one bank, B's preloaded
+      // into the other unless B taps A's bank.
+      const Tile& tile = plan.tiles[t];
+      queue.Mvin(t, machine::RelationBytes(*tile.a.tuples));
+      if (tile.b.tuples != nullptr) {
+        queue.Preload(t, machine::RelationBytes(*tile.b.tuples));
+      }
       queue.Compute(t, passes[t].info.cycles);
       queue.Mvout(t, passes[t].out);
     }
@@ -389,28 +410,26 @@ Result<BitVector> Engine::MembershipBits(const Relation& a, const Relation& b,
   // Block sizes: dedup tiles A against itself by the preload (bottom)
   // capacity so both disciplines use the same decomposition; the general
   // case blocks A by the top capacity and B by the bottom capacity.
-  const size_t cap_a =
-      std::min(BlockCapacity(plan.mode, /*bottom=*/dedup), n_a);
+  const std::vector<Block> a_blocks =
+      plan.Split(a, BlockCapacity(plan.mode, /*bottom=*/dedup));
   if (dedup) {
     // Tile pairs (p, q) with q <= p over blocks of A. Diagonal tiles use
     // the lower-triangle rule on block-local indices (which coincide
     // pairwise); below-diagonal tiles compare full blocks, since every such
     // pair already has j < i globally.
-    for (size_t p = 0; p < n_a; p += cap_a) {
-      for (size_t q = 0; q <= p; q += cap_a) {
-        Tile tile{{&a, p, cap_a}, std::nullopt};
-        if (q != p) tile.b = OperandRange{&a, q, cap_a};
-        plan.tiles.push_back(tile);
+    for (size_t p = 0; p < a_blocks.size(); ++p) {
+      for (size_t q = 0; q <= p; ++q) {
+        plan.tiles.push_back({a_blocks[p], q == p ? Block{} : a_blocks[q]});
       }
     }
   } else {
-    const size_t cap_b = std::min(BlockCapacity(plan.mode, /*bottom=*/true),
-                                  std::max<size_t>(1, n_b));
-    for (size_t ai = 0; ai < n_a; ai += cap_a) {
+    const std::vector<Block> b_blocks =
+        plan.Split(b, BlockCapacity(plan.mode, /*bottom=*/true));
+    for (const Block& block_a : a_blocks) {
       // Empty B: the block's pass is trivially empty; nothing to run.
-      if (n_b == 0) ++plan.trivial_passes;
-      for (size_t bi = 0; bi < n_b; bi += cap_b) {
-        plan.tiles.push_back({{&a, ai, cap_a}, OperandRange{&b, bi, cap_b}});
+      if (b_blocks.empty()) ++plan.trivial_passes;
+      for (const Block& block_b : b_blocks) {
+        plan.tiles.push_back({block_a, block_b});
       }
     }
   }
@@ -426,7 +445,7 @@ Result<BitVector> Engine::MembershipBits(const Relation& a, const Relation& b,
       [&](size_t t, const Relation& block_a, const Relation& block_b,
           fastpath::Backend backend) -> Result<TilePass> {
         const arrays::EdgeRule edge_rule =
-            plan.tiles[t].b.has_value()
+            plan.tiles[t].b.tuples != nullptr
                 ? arrays::EdgeRule::kAllTrue
                 : arrays::EdgeRule::kStrictLowerTriangle;
         // Either executor: same bits, same cycle count. Only the RTL
@@ -467,7 +486,7 @@ Result<EngineResult> Engine::Intersect(const Relation& a,
   SYSTOLIC_ASSIGN_OR_RETURN(Relation out,
                             a.Filter(bits, rel::RelationKind::kSet));
   EngineResult result(std::move(out));
-  result.stats = stats;
+  result.stats = std::move(stats);
   return result;
 }
 
@@ -482,7 +501,7 @@ Result<EngineResult> Engine::Subtract(const Relation& a,
   SYSTOLIC_ASSIGN_OR_RETURN(Relation out,
                             a.Filter(bits, rel::RelationKind::kSet));
   EngineResult result(std::move(out));
-  result.stats = stats;
+  result.stats = std::move(stats);
   return result;
 }
 
@@ -498,7 +517,7 @@ Result<EngineResult> Engine::RemoveDuplicates(const Relation& a) const {
   SYSTOLIC_ASSIGN_OR_RETURN(Relation out,
                             a.Filter(duplicate, rel::RelationKind::kSet));
   EngineResult result(std::move(out));
-  result.stats = stats;
+  result.stats = std::move(stats);
   return result;
 }
 
@@ -529,13 +548,13 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
 
   TilePlan plan;
   plan.mode = ResolveMode(a.num_tuples(), b.num_tuples());
-  const size_t cap_a =
-      std::min(BlockCapacity(plan.mode, false), a.num_tuples());
-  const size_t cap_b =
-      std::min(BlockCapacity(plan.mode, true), b.num_tuples());
-  for (size_t ai = 0; ai < a.num_tuples(); ai += cap_a) {
-    for (size_t bi = 0; bi < b.num_tuples(); bi += cap_b) {
-      plan.tiles.push_back({{&a, ai, cap_a}, OperandRange{&b, bi, cap_b}});
+  const std::vector<Block> a_blocks =
+      plan.Split(a, BlockCapacity(plan.mode, /*bottom=*/false));
+  const std::vector<Block> b_blocks =
+      plan.Split(b, BlockCapacity(plan.mode, /*bottom=*/true));
+  for (const Block& block_a : a_blocks) {
+    for (const Block& block_b : b_blocks) {
+      plan.tiles.push_back({block_a, block_b});
     }
   }
 
@@ -556,7 +575,7 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
                 : arrays::SystolicJoin(block_a, block_b, spec, options));
         // Overwrite, never append onto, a rejected attempt's matches.
         const size_t ai = plan.tiles[t].a.start;
-        const size_t bi = plan.tiles[t].b->start;
+        const size_t bi = plan.tiles[t].b.start;
         tile_matches[t].clear();
         tile_matches[t].reserve(tile.matches.size());
         for (const auto& [i, j] : tile.matches) {
@@ -596,7 +615,7 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
   const std::vector<size_t> quotient_columns =
       rel::DivisionQuotientColumns(a.schema(), spec);
   const size_t max_p = device_.rows == 0 ? SIZE_MAX : device_.rows;
-  std::map<rel::Tuple, size_t> x_rank;
+  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> x_rank;
   std::vector<Relation> chunks;
   for (const rel::Tuple& ta : a.tuples()) {
     rel::Tuple x;
@@ -617,7 +636,7 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
   if (b.num_tuples() == 0) {
     divisor_groups.emplace_back(b.schema(), rel::RelationKind::kSet);
   } else {
-    std::map<rel::Tuple, size_t> y_rank;
+    std::unordered_map<rel::Tuple, size_t, rel::TupleHash> y_rank;
     for (const rel::Tuple& tb : b.tuples()) {
       rel::Tuple y;
       y.reserve(spec.b_columns.size());
@@ -635,15 +654,15 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
 
   // Every (chunk, divisor-group) pass is independent — intersecting the
   // groups' survivor sets commutes with running the passes — so the whole
-  // grid is one plan. Every pass re-streams its chunk, so a chunk paired
-  // with G divisor groups is staged G times.
+  // grid is one plan. Tiles point at the chunks and groups built above;
+  // every pass re-streams its chunk, so a chunk paired with G divisor
+  // groups is mvin'd G times.
   TilePlan plan;
   // No candidate quotient values: one trivial pass for accounting.
   if (chunks.empty()) plan.trivial_passes = 1;
   for (const Relation& chunk : chunks) {
     for (const Relation& group : divisor_groups) {
-      plan.tiles.push_back({{&chunk, 0, chunk.num_tuples()},
-                            OperandRange{&group, 0, group.num_tuples()}});
+      plan.tiles.push_back({{&chunk, 0}, {&group, 0}});
     }
   }
   std::vector<arrays::DivisionArrayResult> passes(
@@ -699,7 +718,7 @@ Result<EngineResult> Engine::Select(
   // no preload (the predicate constants live in the cells), and the
   // selected tuples drain back.
   TilePlan plan;
-  plan.tiles.push_back({{&a, 0, a.num_tuples()}, std::nullopt});
+  plan.tiles.push_back({{&a, 0}, {}});
   arrays::SelectionResult selected(
       Relation(a.schema(), rel::RelationKind::kMulti));
   ExecStats stats;
@@ -716,10 +735,10 @@ Result<EngineResult> Engine::Select(
       },
       [&selected](size_t) { return faults::ChecksumBits(selected.selected); },
       &stats));
-  // No predicate selects every tuple: the result is A itself, kind and all
-  // (the kernel saw A's staged block, which is always a multi-relation).
-  EngineResult result(predicates.empty() ? a : std::move(selected.relation));
-  result.stats = stats;
+  // The kernel reads A in place, so with no predicate it returns A itself,
+  // kind and all.
+  EngineResult result(std::move(selected.relation));
+  result.stats = std::move(stats);
   return result;
 }
 

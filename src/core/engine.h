@@ -283,26 +283,25 @@ class Engine {
   /// the B side (which differs from A in fixed mode).
   size_t BlockCapacity(arrays::FeedMode mode, bool bottom) const;
 
-  /// The tile program of one operation (defined in the .cc): the tiles
-  /// with their A and B operand ranges, plus the trivial passes an empty
-  /// operand charges.
+  /// The tile program of one operation (defined in the .cc): the operand
+  /// blocks, sliced once per operation, the tiles that point at them, and
+  /// the trivial passes an empty operand charges.
   struct TilePlan;
-  /// One tile's pass record and the bytes its feed moved.
+  /// One tile's pass record and the bytes its result drains.
   struct TilePass;
-  /// A family's per-tile kernel: runs tile `tile` on the blocks staged from
-  /// its operand ranges under the resolved executor, and writes its result
-  /// into the family's slot for `tile` (overwriting, so it is re-runnable).
+  /// A family's per-tile kernel: runs tile `tile` on its A and B blocks,
+  /// read in place, under the resolved executor, and writes its result into
+  /// the family's slot for `tile` (overwriting, so it is re-runnable).
   using TileKernel = std::function<Result<TilePass>(
       size_t tile, const rel::Relation& a, const rel::Relation& b,
       fastpath::Backend backend)>;
 
   /// Runs `plan`: the one site that stamps backend, feed mode, overlap,
-  /// num_chips and healthy_chips into `stats`, stages every tile's operand
-  /// ranges through scratchpad banks, runs `kernel` per tile under
+  /// num_chips and healthy_chips into `stats`, runs `kernel` per tile under
   /// RunTiled's fault handling (`checksum` reads a tile's slot for the
   /// shadow cross-check), and folds passes, cycles, makespan and the
-  /// per-chip DMA schedules in tile order. The caller then reduces its
-  /// slots.
+  /// per-chip DMA schedules in tile order, charging each tile's mvin and
+  /// preload with its blocks' bytes. The caller then reduces its slots.
   Status ExecuteTiles(const TilePlan& plan, const TileKernel& kernel,
                       const std::function<uint64_t(size_t tile)>& checksum,
                       ExecStats* stats) const;

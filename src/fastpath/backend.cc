@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -194,14 +193,13 @@ Result<arrays::DivisionArrayResult> FastDivision(const Relation& a,
 
   // The same §2.3 sub-tuple packing the RTL driver performs: fresh codes in
   // first-occurrence order, A's divisor part and B sharing one code space.
-  std::map<rel::Tuple, rel::Code> x_codes;
-  std::vector<rel::Tuple> x_order;  // distinct quotient values, in A order
-  std::map<rel::Tuple, rel::Code> y_codes;
-  const auto pack = [](const rel::Tuple& tuple,
-                       const std::vector<size_t>& columns,
-                       std::map<rel::Tuple, rel::Code>* codes,
-                       std::vector<rel::Tuple>* order) {
-    rel::Tuple sub;
+  using Codes = std::unordered_map<Tuple, rel::Code, rel::TupleHash>;
+  Codes x_codes;
+  std::vector<Tuple> x_order;  // distinct quotient values, in A order
+  Codes y_codes;
+  const auto pack = [](const Tuple& tuple, const std::vector<size_t>& columns,
+                       Codes* codes, std::vector<Tuple>* order) {
+    Tuple sub;
     sub.reserve(columns.size());
     for (size_t c : columns) sub.push_back(tuple[c]);
     auto [it, inserted] =
@@ -216,15 +214,14 @@ Result<arrays::DivisionArrayResult> FastDivision(const Relation& a,
     const rel::Code y = pack(ta, spec.a_columns, &y_codes, nullptr);
     pairs.emplace_back(x, y);
   }
-  std::vector<rel::Code> divisor;  // distinct divisor values
+  // Distinct divisor values, in B order. Packing is a bijection, so a
+  // value's first sighting is its packed code's first sighting.
+  std::vector<rel::Code> divisor;
   {
-    std::map<rel::Tuple, rel::Code> seen;
-    for (const rel::Tuple& tb : b.tuples()) {
+    std::unordered_set<rel::Code> seen;
+    for (const Tuple& tb : b.tuples()) {
       const rel::Code packed = pack(tb, spec.b_columns, &y_codes, nullptr);
-      rel::Tuple sub;
-      sub.reserve(spec.b_columns.size());
-      for (size_t c : spec.b_columns) sub.push_back(tb[c]);
-      if (seen.emplace(std::move(sub), packed).second) divisor.push_back(packed);
+      if (seen.insert(packed).second) divisor.push_back(packed);
     }
   }
 

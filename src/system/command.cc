@@ -247,7 +247,7 @@ Status CommandInterpreter::RunStep(Transaction transaction,
                                    const std::string& output) {
   SYSTOLIC_ASSIGN_OR_RETURN(TransactionReport report,
                             machine_->Execute(transaction));
-  StepReport step = report.steps.at(0);
+  StepReport& step = report.steps.at(0);
   StampDurability(&step.exec);
   SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* result,
                             machine_->Buffer(output));

@@ -1,6 +1,7 @@
 #include "system/machine.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace systolic {
 namespace machine {
@@ -25,33 +26,31 @@ const db::Engine& Machine::EngineFor(OpKind kind) const {
 
 void Machine::InstallFaultPlan(std::shared_ptr<const faults::FaultPlan> plan,
                                faults::RecoveryOptions recovery) {
-  config_.device.faults = plan;
-  config_.device.recovery = recovery;
-  engine_ = db::Engine(config_.device, config_.shared_pool);
-  engines_.clear();
-  for (auto& [kind, device] : config_.device_configs) {
-    device.faults = plan;
-    device.recovery = recovery;
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
-  }
+  RebuildEngines([&](db::DeviceConfig* device) {
+    device->faults = plan;
+    device->recovery = recovery;
+  });
 }
 
 void Machine::SetBackendPolicy(fastpath::BackendPolicy policy) {
-  config_.device.backend = policy;
-  engine_ = db::Engine(config_.device, config_.shared_pool);
-  engines_.clear();
-  for (auto& [kind, device] : config_.device_configs) {
-    device.backend = policy;
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
-  }
+  RebuildEngines([policy](db::DeviceConfig* device) {
+    device->backend = policy;
+  });
 }
 
 void Machine::SetMemoryPolicy(spad::OverlapPolicy policy) {
-  config_.device.overlap = policy;
+  RebuildEngines([policy](db::DeviceConfig* device) {
+    device->overlap = policy;
+  });
+}
+
+void Machine::RebuildEngines(
+    const std::function<void(db::DeviceConfig*)>& edit) {
+  edit(&config_.device);
   engine_ = db::Engine(config_.device, config_.shared_pool);
   engines_.clear();
   for (auto& [kind, device] : config_.device_configs) {
-    device.overlap = policy;
+    edit(&device);
     engines_.emplace(kind, db::Engine(device, config_.shared_pool));
   }
 }
@@ -306,18 +305,18 @@ Result<TransactionReport> Machine::Execute(const Transaction& transaction) {
       sr.op = step.op;
       sr.output = step.output;
       sr.level = level;
-      sr.exec = executed->stats;
+      sr.exec = std::move(executed->stats);
       // Critical-path pulses: on a multi-chip device (num_chips > 1) the §8
       // tiles run concurrently, so the step's wall time is the makespan, not
       // the pulse sum. Identical when num_chips == 1.
       sr.compute_seconds = perf::SecondsForCycles(
-          config_.technology, executed->stats.makespan_cycles);
+          config_.technology, sr.exec.makespan_cycles);
       sr.transfer_seconds = bytes / crossbar_rate;
       sr.bytes_moved = bytes;
 
       report.serial_seconds += sr.compute_seconds + sr.transfer_seconds;
       report.bytes_through_crossbar += bytes;
-      level_reports.push_back(sr);
+      level_reports.push_back(std::move(sr));
 
       SYSTOLIC_RETURN_NOT_OK(
           StoreBuffer(step.output, std::move(executed->relation)));
@@ -357,7 +356,7 @@ Result<TransactionReport> Machine::Execute(const Transaction& transaction) {
       }
       for (double busy : load) level_makespan = std::max(level_makespan, busy);
     }
-    for (StepReport& sr : level_reports) report.steps.push_back(sr);
+    for (StepReport& sr : level_reports) report.steps.push_back(std::move(sr));
     report.makespan_seconds += level_makespan;
   }
   return report;

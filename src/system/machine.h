@@ -243,6 +243,9 @@ class Machine {
   }
 
  private:
+  /// Applies `edit` to the default device and every per-kind device, then
+  /// rebuilds their engines on the shared chip pool.
+  void RebuildEngines(const std::function<void(db::DeviceConfig*)>& edit);
   Result<size_t> AllocateModule(const std::string& name);
   double CrossbarBytesPerSecond() const;
   size_t DeviceCount(OpKind kind) const;

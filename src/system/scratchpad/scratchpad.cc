@@ -1,6 +1,7 @@
 #include "system/scratchpad/scratchpad.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -55,27 +56,6 @@ double CrossbarFeed(machine::MemoryModule& module) {
   return machine::RelationBytes(**module.Contents());
 }
 
-rel::Relation ScratchpadBank::Stage(const rel::Relation& source, size_t start,
-                                    size_t count) {
-  rel::Relation block(source.schema(), rel::RelationKind::kMulti);
-  size_t end = std::min(start + count, source.num_tuples());
-  for (size_t i = start; i < end; ++i) {
-    SYSTOLIC_CHECK(block.Append(source.tuple(i)).ok());
-  }
-  staged_bytes_ = machine::RelationBytes(block);
-  drained_bytes_ = 0;
-  bytes_in_ += staged_bytes_;
-  return block;
-}
-
-void ScratchpadBank::Drain(double bytes) {
-  SYSTOLIC_CHECK(drained_bytes_ + bytes <= staged_bytes_)
-      << "scratchpad bank overdrain: " << drained_bytes_ << " + " << bytes
-      << " exceeds staged " << staged_bytes_;
-  drained_bytes_ += bytes;
-  bytes_out_ += bytes;
-}
-
 const char* DmaOpToString(DmaOp op) {
   switch (op) {
     case DmaOp::kMvin:
@@ -107,11 +87,6 @@ std::string ToString(const DmaEvent& event) {
   return out.str();
 }
 
-DmaQueue::DmaQueue(bool overlap, size_t num_bank_pairs)
-    : overlap_(overlap), num_bank_pairs_(num_bank_pairs) {
-  SYSTOLIC_CHECK(num_bank_pairs_ > 0) << "a chip needs at least one bank pair";
-}
-
 size_t DmaQueue::BankOf(size_t tile) {
   if (tiles_seen_ == 0 || tile != last_tile_) {
     SYSTOLIC_CHECK(tiles_seen_ == 0 || tile > last_tile_)
@@ -121,7 +96,7 @@ size_t DmaQueue::BankOf(size_t tile) {
     last_tile_ = tile;
     ++tiles_seen_;
   }
-  return (tiles_seen_ - 1) % num_bank_pairs_;
+  return (tiles_seen_ - 1) % kBankPairs;
 }
 
 void DmaQueue::Mvin(size_t tile, double bytes) {
@@ -167,7 +142,7 @@ size_t DmaQueue::Schedule(std::vector<DmaEvent>* trace) const {
     return clock;
   }
   // Double-buffered schedule: one load port (mvin/preload), one store port
-  // (mvout), one compute unit, and num_bank_pairs_ bank pairs. A tile's
+  // (mvout), one compute unit, and kBankPairs bank pairs. A tile's
   // loads serialise on the load port in queue order; its compute waits for
   // its own loads and the compute unit; its mvout waits for its compute and
   // the store port — drains never block the next tile's loads, which is the
@@ -177,7 +152,7 @@ size_t DmaQueue::Schedule(std::vector<DmaEvent>* trace) const {
   size_t load_free = 0;
   size_t store_free = 0;
   size_t compute_free = 0;
-  std::vector<size_t> bank_free(num_bank_pairs_, 0);
+  std::array<size_t, kBankPairs> bank_free{};
   std::vector<size_t> load_end;   // per tile: when its operands are resident
   std::vector<size_t> tile_end;   // per tile: when its last command ends
   auto slot = [](std::vector<size_t>* v, size_t tile) -> size_t& {

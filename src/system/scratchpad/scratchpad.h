@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "relational/relation.h"
 #include "system/scratchpad/memory.h"
 
 namespace systolic {
@@ -21,12 +20,14 @@ namespace spad {
 /// feed streams into the idle bank while tile N computes and tile N−1's
 /// result drains back through the crossbar.
 ///
-/// The layer is a *timing and accounting* model: functional staging is exact
-/// (a staged block is a bit-identical slice of the source relation, restaged
-/// in full on every retry attempt), and the DMA schedule is a deterministic
-/// closed form over per-transfer cycle costs — so results and the existing
-/// `cycles`/`makespan_cycles` statistics are byte-identical whether overlap
-/// is on or off; only the new memory-inclusive counters move.
+/// The layer is a *timing and accounting* model and moves no tuples: a tile
+/// reads operand blocks that the engine slices once per operation, and a
+/// transfer charges its block's bytes (a retried attempt reads the same
+/// immutable block, so it replays the identical feed). The DMA schedule is a
+/// deterministic closed form over per-transfer cycle costs — so results and
+/// the existing `cycles`/`makespan_cycles` statistics are byte-identical
+/// whether overlap is on or off; only the new memory-inclusive counters
+/// move.
 
 /// Whether tile operand feeds overlap with compute and drain.
 enum class OverlapPolicy {
@@ -68,41 +69,6 @@ double BitDrainBytes(size_t num_bits);
 /// execution layers to charge a MemoryModule read — project_lint rule 4
 /// keeps direct AccountRead calls inside the scratchpad layer.
 double CrossbarFeed(machine::MemoryModule& module);
-
-/// One scratchpad bank: stages an operand block out of a source relation and
-/// tracks the byte traffic in and out. Staging is functional (the returned
-/// block is the exact slice) and replayable: re-staging resets the bank to a
-/// full fresh feed, which is what a retried tile attempt must see — never a
-/// half-drained bank.
-class ScratchpadBank {
- public:
-  /// Stages tuples [start, start+count) of `source` (clamped to the source
-  /// size) into the bank, replacing any previous content and resetting the
-  /// drain cursor; returns the staged block (always a multi-relation — a
-  /// staged block is an intermediate, like every engine tile slice). Byte
-  /// traffic accumulates across stagings, so a retried tile pays for its
-  /// replayed feed.
-  rel::Relation Stage(const rel::Relation& source, size_t start, size_t count);
-
-  /// Bytes currently staged (the last Stage's block).
-  double staged_bytes() const { return staged_bytes_; }
-
-  /// Cumulative bytes streamed into the bank across all stagings.
-  double bytes_in() const { return bytes_in_; }
-
-  /// Drains `bytes` of results out of the bank. Draining more than is staged
-  /// is a schedule fault: the bank cannot emit words it never held.
-  void Drain(double bytes);
-
-  /// Cumulative bytes drained out of the bank.
-  double bytes_out() const { return bytes_out_; }
-
- private:
-  double staged_bytes_ = 0;
-  double drained_bytes_ = 0;
-  double bytes_in_ = 0;
-  double bytes_out_ = 0;
-};
 
 /// DMA command kinds, mirroring the related systolic-accelerator ISA:
 /// mvin (stream an operand block into a bank), preload (stage the fixed
@@ -148,7 +114,7 @@ std::string ToString(const DmaEvent& event);
 ///     and one DMA store port — result drains (mvout) serialise on it, so a
 ///     drain never blocks the next tile's loads;
 ///   * one compute unit — passes serialise in tile order;
-///   * `num_bank_pairs` scratchpad bank pairs — a tile occupies the pair
+///   * kBankPairs scratchpad bank pairs — a tile occupies the pair
 ///     (tile_order % pairs) from its first transfer until its mvout ends,
 ///     so with 2 pairs tile N+1 may stream in while tile N computes and
 ///     tile N−1 drains, but tile N+2 must wait for tile N's bank.
@@ -158,7 +124,7 @@ std::string ToString(const DmaEvent& event);
 /// load→compute→drain baseline exactly (makespan == sum of costs).
 class DmaQueue {
  public:
-  explicit DmaQueue(bool overlap, size_t num_bank_pairs = kBankPairs);
+  explicit DmaQueue(bool overlap) : overlap_(overlap) {}
 
   /// Enqueue one tile-phase command. Zero-byte transfers cost nothing and
   /// are dropped (a reused or absent operand queues no DMA work).
@@ -188,7 +154,6 @@ class DmaQueue {
   size_t BankOf(size_t tile);
 
   bool overlap_;
-  size_t num_bank_pairs_;
   std::vector<DmaCommand> commands_;
   size_t last_tile_ = 0;   // id of the most recently queued tile
   size_t tiles_seen_ = 0;  // distinct tiles queued so far

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
 #include <utility>
@@ -313,6 +314,130 @@ TEST(EngineTest, MultiChipWidthOverflowStillRejected) {
   auto result = engine.Intersect(a, a);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCapacity());
+}
+
+// --- Tile feeds: every tile reads its operand blocks in place, and the DMA
+// trace charges each mvin (A's block) and preload (B's block) with exactly
+// that block's bytes, 8 per element code. ---
+
+/// (tile, bytes) of every `op` command in `stats`' DMA trace, by tile id. The
+/// trace lists chips in order, so a multi-chip run interleaves tile ids.
+std::vector<std::pair<size_t, double>> FeedBytes(const ExecStats& stats,
+                                                 spad::DmaOp op) {
+  std::vector<std::pair<size_t, double>> feeds;
+  for (const spad::DmaEvent& event : stats.dma_trace) {
+    if (event.command.op == op) {
+      feeds.emplace_back(event.command.tile, event.command.bytes);
+    }
+  }
+  std::sort(feeds.begin(), feeds.end());
+  return feeds;
+}
+
+/// `n` tuples over `schema`, tuple i being (i, i, ...).
+Relation Ramp(const Schema& schema, size_t n) {
+  std::vector<std::vector<int64_t>> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.emplace_back(schema.num_columns(), static_cast<int64_t>(i));
+  }
+  return Rel(schema, rows);
+}
+
+TEST(EngineFeedTest, MembershipTailTilesMoveTheShortBlock) {
+  // 7 rows march 4 tuples per operand: A's 10 tuples split 4 + 4 + 2 and
+  // B's 6 split 4 + 2, so the last block of each is the short tail. Four
+  // chips read the shared blocks concurrently.
+  const Schema schema = rel::MakeIntSchema(2);
+  const Relation a = Ramp(schema, 10);
+  const Relation b = Ramp(schema, 6);
+  DeviceConfig device;
+  device.rows = 7;
+  device.num_chips = 4;
+  auto result = Engine(device).Intersect(a, b);
+  ASSERT_OK(result);
+  EXPECT_TRUE(result->relation.BagEquals(b));
+  const std::vector<std::pair<size_t, double>> mvin = {
+      {0, 64}, {1, 64}, {2, 64}, {3, 64}, {4, 32}, {5, 32}};
+  const std::vector<std::pair<size_t, double>> preload = {
+      {0, 64}, {1, 32}, {2, 64}, {3, 32}, {4, 64}, {5, 32}};
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kMvin), mvin);
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kPreload), preload);
+}
+
+TEST(EngineFeedTest, DedupDiagonalTilesQueueNoPreload) {
+  // Blocks of 4 + 4 + 2 tuples, paired (p, q <= p): tiles 0, 2 and 5 sit on
+  // the diagonal, where B taps A's bank; tiles 1, 3 and 4 preload block q.
+  DeviceConfig device;
+  device.rows = 7;
+  auto result =
+      Engine(device).RemoveDuplicates(Ramp(rel::MakeIntSchema(1), 10));
+  ASSERT_OK(result);
+  EXPECT_EQ(result->relation.num_tuples(), 10u);
+  const std::vector<std::pair<size_t, double>> mvin = {
+      {0, 32}, {1, 32}, {2, 32}, {3, 16}, {4, 16}, {5, 16}};
+  const std::vector<std::pair<size_t, double>> preload = {
+      {1, 32}, {3, 32}, {4, 32}};
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kMvin), mvin);
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kPreload), preload);
+}
+
+TEST(EngineFeedTest, DivideChunkIsMovedInOncePerDivisorGroup) {
+  // Two dividend keys per chunk and two divisor values per group: chunk 0
+  // holds keys 1 and 2 (5 tuples), chunk 1 key 3 (1 tuple); group 0 holds
+  // divisor values 10 and 20, group 1 value 30. Each chunk pairs with G = 2
+  // groups, so it is moved in twice.
+  const Schema pairs = rel::MakeIntSchema(2);
+  const Relation a = Rel(
+      pairs, {{1, 10}, {1, 20}, {1, 30}, {2, 10}, {2, 20}, {3, 10}});
+  auto b = Rel(pairs, {{0, 10}, {0, 20}, {0, 30}}).ProjectColumns({1});
+  ASSERT_OK(b);
+  DeviceConfig device;
+  device.rows = 2;
+  device.columns = 2;
+  auto result = Engine(device).Divide(a, *b, rel::DivisionSpec{{1}, {0}});
+  ASSERT_OK(result);
+  // Only key 1 meets every divisor value.
+  EXPECT_EQ(result->relation.tuples(),
+            std::vector<rel::Tuple>{{a.tuple(0)[0]}});
+  const std::vector<std::pair<size_t, double>> mvin = {
+      {0, 80}, {1, 80}, {2, 16}, {3, 16}};
+  const std::vector<std::pair<size_t, double>> preload = {
+      {0, 16}, {1, 8}, {2, 16}, {3, 8}};
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kMvin), mvin);
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kPreload), preload);
+}
+
+TEST(EngineFeedTest, SelectMovesAllOfAInOnceWithoutPreload) {
+  // The predicate constants live in the cells: A streams through whole.
+  DeviceConfig device;
+  device.rows = 3;
+  const std::vector<arrays::SelectionPredicate> below_two{
+      {0, rel::ComparisonOp::kLt, 2}};
+  auto result =
+      Engine(device).Select(Ramp(rel::MakeIntSchema(3), 5), below_two);
+  ASSERT_OK(result);
+  EXPECT_EQ(result->relation.num_tuples(), 2u);
+  const std::vector<std::pair<size_t, double>> mvin = {{0, 5 * 3 * 8}};
+  EXPECT_EQ(FeedBytes(result->stats, spad::DmaOp::kMvin), mvin);
+  EXPECT_TRUE(FeedBytes(result->stats, spad::DmaOp::kPreload).empty());
+}
+
+TEST(EngineFeedTest, UntiledOperationMovesTheWholeOperands) {
+  // An unbounded device runs one tile on the operands themselves.
+  const Schema schema = rel::MakeIntSchema(2);
+  const Relation a = Ramp(schema, 3);
+  const Relation b = Ramp(schema, 2);
+  const rel::JoinSpec spec{{0}, {0}, rel::ComparisonOp::kEq};
+  Engine engine;
+  auto intersect = engine.Intersect(a, b);
+  auto join = engine.Join(a, b, spec);
+  for (const auto* result : {&intersect, &join}) {
+    ASSERT_OK(*result);
+    const std::vector<std::pair<size_t, double>> mvin = {{0, 3 * 2 * 8}};
+    const std::vector<std::pair<size_t, double>> preload = {{0, 2 * 2 * 8}};
+    EXPECT_EQ(FeedBytes((*result)->stats, spad::DmaOp::kMvin), mvin);
+    EXPECT_EQ(FeedBytes((*result)->stats, spad::DmaOp::kPreload), preload);
+  }
 }
 
 // --- Tiling equivalence property: for every operation, a small physical

@@ -18,7 +18,6 @@
 #include "faults/fault_scope.h"
 #include "gtest/gtest.h"
 #include "relational/builder.h"
-#include "system/scratchpad/scratchpad.h"
 #include "systolic/feeder.h"
 #include "systolic/simulator.h"
 #include "test_util.h"
@@ -365,61 +364,6 @@ TEST(InjectedFaultTest, ScopeRestoresFatalBehaviourOnExit) {
     EXPECT_TRUE(internal_logging::HardwareChecksArmed());
   }
   EXPECT_FALSE(internal_logging::HardwareChecksArmed());
-}
-
-// ---------------------------------------------------------------------------
-// S25 scratchpad discipline: the bank's drain cursor enforces the same
-// refuse-to-lie contract as the arrays' lock-step checks — a tile (or the
-// DMA model on its behalf) can never drain more bytes than it staged, and a
-// retried attempt starts from a freshly staged bank, never a half-drained
-// one.
-// ---------------------------------------------------------------------------
-
-TEST(ScratchpadFaultTest, OverdrainIsFatal) {
-  EXPECT_DEATH(
-      {
-        const Schema schema = rel::MakeIntSchema(2);
-        const Relation r = Rel(schema, {{1, 2}, {3, 4}});
-        spad::ScratchpadBank bank;
-        bank.Stage(r, 0, 2);
-        bank.Drain(bank.staged_bytes());
-        bank.Drain(8);  // the feed is exhausted; one more byte is a lie
-      },
-      "scratchpad bank overdrain");
-}
-
-TEST(ScratchpadFaultTest, DrainPastAFreshSmallerStagingIsFatal) {
-  // Restaging resets the cursor AND the budget: a retry that stages a
-  // smaller block must not inherit the older, larger budget.
-  EXPECT_DEATH(
-      {
-        const Schema schema = rel::MakeIntSchema(1);
-        const Relation r = Rel(schema, {{1}, {2}, {3}, {4}});
-        spad::ScratchpadBank bank;
-        bank.Stage(r, 0, 4);  // 32 bytes staged
-        bank.Stage(r, 0, 1);  // restage: now only 8 bytes live in the bank
-        bank.Drain(16);
-      },
-      "scratchpad bank overdrain");
-}
-
-TEST(ScratchpadFaultTest, RetryReplaysTheFullFeed) {
-  // The overlapped tile dispatch under SET FAULTS: an attempt stages, half
-  // drains, is rejected by the parity monitors, and the retry restages.
-  // The replayed attempt must see the identical, complete block.
-  const Schema schema = rel::MakeIntSchema(2);
-  const Relation r = Rel(schema, {{1, 2}, {3, 4}, {5, 6}});
-  spad::ScratchpadBank bank;
-  const Relation first = bank.Stage(r, 1, 2);
-  bank.Drain(8);  // attempt dies mid-drain
-  const Relation replay = bank.Stage(r, 1, 2);
-  ASSERT_EQ(replay.num_tuples(), first.num_tuples());
-  for (size_t i = 0; i < replay.num_tuples(); ++i) {
-    EXPECT_EQ(replay.tuple(i), first.tuple(i));
-  }
-  // The full budget is available again.
-  bank.Drain(bank.staged_bytes());
-  EXPECT_EQ(bank.bytes_out(), 8.0 + 2 * 8.0 * 2);
 }
 
 }  // namespace

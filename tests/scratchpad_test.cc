@@ -1,9 +1,9 @@
-// Unit tests for the S25 scratchpad/DMA layer: bank staging and drain
-// accounting, the double-buffered DMA schedule against hand-derived
-// timelines, and — because the DMA costing is built on it — a seeded
-// property test of MemoryModule byte accounting (RelationBytes vs the
-// cumulative bytes_written/bytes_read counters across Store / AccountRead /
-// Clear sequences) plus the CrossbarFeed entry point.
+// Unit tests for the S25 scratchpad/DMA layer: transfer costing, the
+// double-buffered DMA schedule against hand-derived timelines, and —
+// because the DMA costing is built on it — a seeded property test of
+// MemoryModule byte accounting (RelationBytes vs the cumulative
+// bytes_written/bytes_read counters across Store / AccountRead / Clear
+// sequences) plus the CrossbarFeed entry point.
 
 #include "system/scratchpad/scratchpad.h"
 
@@ -27,7 +27,6 @@ using spad::DmaEvent;
 using spad::DmaOp;
 using spad::DmaQueue;
 using spad::OverlapPolicy;
-using spad::ScratchpadBank;
 
 Relation SmallRelation(size_t num_tuples, size_t arity, uint64_t seed = 7) {
   const Schema schema = rel::MakeIntSchema(arity);
@@ -70,37 +69,6 @@ TEST(ScratchpadPolicy, ParseAndPrintRoundTrip) {
   OverlapPolicy parsed;
   EXPECT_FALSE(spad::ParseOverlapPolicy("sometimes", &parsed));
   EXPECT_FALSE(spad::ParseOverlapPolicy("", &parsed));
-}
-
-TEST(ScratchpadBankTest, StageCopiesTheExactSliceAndClamps) {
-  const Relation r = SmallRelation(10, 2);
-  ScratchpadBank bank;
-  const Relation block = bank.Stage(r, 3, 4);
-  ASSERT_EQ(block.num_tuples(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(block.tuple(i), r.tuple(3 + i));
-  }
-  EXPECT_EQ(bank.staged_bytes(), 8.0 * 4 * 2);
-
-  // Past-the-end staging clamps, exactly like the engine's tail tiles.
-  const Relation tail = bank.Stage(r, 8, 4);
-  EXPECT_EQ(tail.num_tuples(), 2u);
-  EXPECT_EQ(bank.staged_bytes(), 8.0 * 2 * 2);
-  // Byte traffic accumulates across stagings.
-  EXPECT_EQ(bank.bytes_in(), 8.0 * 4 * 2 + 8.0 * 2 * 2);
-}
-
-TEST(ScratchpadBankTest, DrainTracksAndRestageResetsTheCursor) {
-  const Relation r = SmallRelation(6, 2);
-  ScratchpadBank bank;
-  bank.Stage(r, 0, 6);
-  bank.Drain(bank.staged_bytes());
-  EXPECT_EQ(bank.bytes_out(), 8.0 * 6 * 2);
-  // A fresh staging resets the drain cursor: the full feed is available
-  // again — the retry-replay contract.
-  bank.Stage(r, 0, 6);
-  bank.Drain(bank.staged_bytes());
-  EXPECT_EQ(bank.bytes_out(), 2 * 8.0 * 6 * 2);
 }
 
 TEST(DmaQueueTest, OverlapOffSerialisesEveryCommand) {
