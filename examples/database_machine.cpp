@@ -7,8 +7,8 @@
 // modeled compute and crossbar-transfer time, and the serial-vs-concurrent
 // makespan.
 
-// Pass `--chips N` to drive each systolic device with N parallel chips
-// (§8's independent tiles dispatched across a chip pool).
+// Pass `--chips N` to model each systolic device as N chips (§8's
+// independent tiles), run on up to N host threads.
 
 #include <cstdio>
 #include <cstdlib>

@@ -7,7 +7,8 @@
 //           SELECT parts WHERE weight > 10 -> heavy
 //           PRINT heavy' | ./query_shell
 //
-// `--chips N` drives the machine's systolic devices with N parallel chips.
+// `--chips N` models the machine's systolic devices as N chips, run on up
+// to N host threads.
 // `--no-planner` starts with the cost-based query planner off (SET PLANNER
 // on|off toggles it from the script).
 // `--durable DIR` opens DIR as a crash-safe catalog before the script runs

@@ -27,15 +27,8 @@ using arrays::ArrayRunInfo;
 using arrays::FeedMode;
 using rel::Relation;
 
-Engine::Engine(DeviceConfig device) : Engine(device, nullptr) {}
-
-Engine::Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool)
+Engine::Engine(DeviceConfig device)
     : device_(device),
-      pool_(device.num_chips > 1
-                ? (shared_pool != nullptr
-                       ? std::move(shared_pool)
-                       : std::make_shared<ChipPool>(device.num_chips))
-                : nullptr),
       health_(device.faults != nullptr
                   ? std::make_shared<ChipHealth>(
                         std::max<size_t>(1, device.num_chips),
@@ -50,14 +43,14 @@ Status Engine::RunTiled(
     ExecStats* stats) const {
   const auto dispatch =
       [&](const std::function<Status(size_t)>& tile_task) -> Status {
-    if (pool_ == nullptr || count <= 1) {
+    if (num_chips() == 1 || count <= 1) {
       for (size_t tile = 0; tile < count; ++tile) {
         SYSTOLIC_RETURN_NOT_OK(tile_task(tile));
       }
       return Status::OK();
     }
     std::vector<Status> statuses(count);
-    pool_->RunAll(count, [&tile_task, &statuses](size_t tile, size_t) {
+    ParallelFor(count, num_chips(), [&tile_task, &statuses](size_t tile) {
       statuses[tile] = tile_task(tile);
     });
     for (const Status& status : statuses) {
@@ -118,8 +111,8 @@ Status Engine::RunTiled(
   };
 
   const auto recovered = [&](size_t tile) -> Status {
-    // Route by TILE, not by worker thread: which pool worker claims a tile
-    // is scheduling-dependent, and the injected faults are keyed by (chip,
+    // Route by TILE, not by host thread: which thread claims a tile is
+    // scheduling-dependent, and the injected faults are keyed by (chip,
     // tile, attempt) — tile-keyed routing makes the whole fault history of
     // a run reproducible regardless of thread interleaving.
     std::optional<size_t> chip = health_->PreferredChip(tile % chips);
@@ -266,7 +259,7 @@ Status Engine::ExecuteTiles(
   stats->passes += plan.trivial_passes;
 
   // Every tile is an independent sub-problem, so the batch fans out across
-  // the chip pool; results land in per-tile slots and everything below
+  // host threads; results land in per-tile slots and everything below
   // folds them in tile order, which keeps output and statistics
   // bit-identical to the serial path.
   std::vector<TilePass> passes(plan.tiles.size());
@@ -383,7 +376,7 @@ FeedMode Engine::ResolveMode(size_t n_a, size_t n_b) const {
 }
 
 Engine Engine::WithMode(FeedMode mode) const {
-  Engine copy = *this;  // shares pool_, so no threads are spawned
+  Engine copy = *this;  // shares health_
   copy.device_.mode = mode == FeedMode::kFixedB
                           ? arrays::FeedModePolicy::kFixedB
                           : arrays::FeedModePolicy::kMarching;

@@ -10,7 +10,7 @@
 #include "arrays/comparison_grid.h"
 #include "arrays/membership.h"
 #include "arrays/selection_array.h"
-#include "core/chip_pool.h"
+#include "core/chips.h"
 #include "fastpath/backend.h"
 #include "faults/fault_plan.h"
 #include "relational/op_specs.h"
@@ -37,11 +37,12 @@ struct DeviceConfig {
   /// to let the engine pick per operation by modeled total pulse count.
   arrays::FeedModePolicy mode = arrays::FeedModePolicy::kMarching;
   /// Identical chips driven in parallel. §8's decomposition produces
-  /// mutually independent (row-tile, col-tile) sub-problems; with more than
-  /// one chip the engine dispatches them across a worker pool (one simulated
-  /// device per worker) and merges per-tile results in tile order, so output
-  /// and summed statistics are bit-identical to the serial path. 1 (the
-  /// default) preserves today's serial execution exactly; 0 is treated as 1.
+  /// mutually independent (row-tile, col-tile) sub-problems; the engine
+  /// schedules them over N modeled chips (makespan, DMA, fault routing) and,
+  /// when N > 1, runs them on up to N host threads (see ParallelFor), merging
+  /// per-tile results in tile order, so output and summed statistics are
+  /// bit-identical to the serial path. 1 (the default) runs every tile on the
+  /// calling thread; 0 is treated as 1.
   size_t num_chips = 1;
   /// Deterministic fault-injection plan; null (the default) models perfect
   /// hardware and costs nothing. With a plan installed, logical chip c runs
@@ -203,16 +204,6 @@ class Engine {
  public:
   explicit Engine(DeviceConfig device = {});
 
-  /// An engine driving `shared_pool`'s workers instead of spawning its own —
-  /// how the S24 server gives every session a view of the SAME physical
-  /// device: sessions' passes interleave fairly inside the pool (see
-  /// ChipPool::RunAll) rather than each session pretending to own a machine.
-  /// Null `shared_pool` falls back to a private pool; either way a
-  /// single-chip device spawns no threads. device.num_chips should match
-  /// shared_pool->num_chips() so tile scheduling and stats agree with the
-  /// worker count.
-  Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool);
-
   const DeviceConfig& device() const { return device_; }
 
   /// Chips the engine actually drives (device().num_chips clamped to >= 1).
@@ -268,9 +259,9 @@ class Engine {
   bool ResolveOverlap() const;
 
   /// A copy of this engine whose device is pinned to `mode`, sharing this
-  /// engine's chip pool (so the copy is cheap and spawns no threads). The
-  /// §9 machine uses this to honor a planner feed-mode hint on one step
-  /// without rebuilding the device.
+  /// engine's chip-health ledger (an engine owns no threads, so the copy is
+  /// cheap). The §9 machine uses this to honor a planner feed-mode hint on
+  /// one step without rebuilding the device.
   Engine WithMode(arrays::FeedMode mode) const;
 
   /// The chip-health ledger, shared by engine copies; null without a fault
@@ -306,16 +297,16 @@ class Engine {
                       const std::function<uint64_t(size_t tile)>& checksum,
                       ExecStats* stats) const;
 
-  /// Runs `count` independent tile tasks — across the chip pool when the
-  /// device has several chips, serially in tile order otherwise — and
-  /// returns the lowest-tile-index non-OK status. Tasks must write results
-  /// only into their own tile's slot and be re-runnable for one tile: with
-  /// a fault plan installed every attempt runs inside a faults::FaultScope,
-  /// detected failures are retried on the next usable chip (striking /
-  /// quarantining per the recovery policy, hard Unavailable only when no
-  /// usable chip remains), fault counters are folded into `stats`, and
-  /// `tile_checksum` (checksum of a tile's slot, for the sampled shadow
-  /// re-execution cross-check) may be consulted.
+  /// Runs `count` independent tile tasks — on up to num_chips() host threads
+  /// (ParallelFor) when the device has several chips, serially in tile order
+  /// otherwise — and returns the lowest-tile-index non-OK status. Tasks must
+  /// write results only into their own tile's slot and be re-runnable for
+  /// one tile: with a fault plan installed every attempt runs inside a
+  /// faults::FaultScope, detected failures are retried on the next usable
+  /// chip (striking / quarantining per the recovery policy, hard Unavailable
+  /// only when no usable chip remains), fault counters are folded into
+  /// `stats`, and `tile_checksum` (checksum of a tile's slot, for the
+  /// sampled shadow re-execution cross-check) may be consulted.
   Status RunTiled(size_t count, const std::function<Status(size_t tile)>& task,
                   const std::function<uint64_t(size_t tile)>& tile_checksum,
                   ExecStats* stats) const;
@@ -335,9 +326,6 @@ class Engine {
                         size_t columns) const;
 
   DeviceConfig device_;
-  /// Shared by engine copies (the §9 machine stores engines by value); null
-  /// when num_chips() == 1, so the default device costs no threads.
-  std::shared_ptr<ChipPool> pool_;
   /// Chip-health ledger for fault-tolerant scheduling; created iff the
   /// device has a fault plan, and shared by engine copies so strikes
   /// accumulate across operations exactly as on one physical device.

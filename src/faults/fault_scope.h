@@ -27,7 +27,7 @@ namespace faults {
 /// All fault decisions are keyed hashes of (plan seed, chip, tile, attempt,
 /// wire index, pulse): two attempts with the same key corrupt the same
 /// words, and distinct attempts draw independent faults, regardless of how
-/// the pool schedules them.
+/// host threads schedule them.
 class FaultScope : public sim::PulseHook {
  public:
   /// `plan` may be null: no injection, but checks are still armed so genuine

@@ -38,13 +38,14 @@ class AdmissionTicket {
   FairScheduler* scheduler_ = nullptr;
 };
 
-/// Fair-share admission control over the shared ChipPool (DESIGN S24).
+/// Fair-share admission control over the shared device (DESIGN S24).
 ///
 /// At most `max_concurrent` plans run at once; further Admit calls wait in
 /// PER-SESSION FIFO queues served ROUND-ROBIN across sessions, so a chatty
 /// session queues behind its own backlog while a quiet one is admitted on
-/// its first try — fair share at plan granularity, complementing the
-/// ChipPool's fair interleave at tile granularity. The total wait queue is
+/// its first try — fair share at plan granularity. Each admitted plan runs
+/// its tiles on host threads of its own (ParallelFor in core/chips.h), so
+/// this gate also bounds the server's tile threads. The total wait queue is
 /// bounded: when `max_queued` sessions are already waiting, Admit fails
 /// immediately with Capacity (admission control, not buffering).
 class FairScheduler {

@@ -33,11 +33,7 @@ Result<std::unique_ptr<Server>> Server::Create(ServerConfig config) {
   auto server = std::unique_ptr<Server>(new Server(std::move(config)));
   ServerConfig& cfg = server->config_;
   cfg.num_chips = std::max<size_t>(1, cfg.num_chips);
-  if (cfg.num_chips > 1) {
-    server->pool_ = std::make_shared<db::ChipPool>(cfg.num_chips);
-  }
   cfg.machine.device.num_chips = cfg.num_chips;
-  cfg.machine.shared_pool = server->pool_;
   if (cfg.durable_dir.empty()) {
     server->catalog_ = std::make_unique<SharedCatalog>();
   } else {

@@ -23,14 +23,14 @@ namespace server {
 /// Shape of the S24 server (+ the S26 reliability knobs).
 struct ServerConfig {
   /// Per-session machine shape (memories, device sizes, planner defaults).
-  /// The server overrides device.num_chips and shared_pool to point every
-  /// session at the one shared pool.
+  /// The server overrides device.num_chips with `num_chips`, so every
+  /// session models the same device.
   machine::MachineConfig machine;
-  /// Chips in the shared pool (>= 1).
+  /// Modeled chips of the shared device (>= 1).
   size_t num_chips = 1;
   /// Concurrent client sessions admitted; further Connects get Capacity.
   size_t max_sessions = 64;
-  /// Plans running on the pool at once; 0 = num_chips.
+  /// Plans running on the device at once; 0 = num_chips.
   size_t max_concurrent_plans = 0;
   /// Bounded admission queue beyond the running plans.
   size_t max_queued_plans = 64;
@@ -189,7 +189,6 @@ class Server {
   void ReaperLoop() EXCLUDES(mutex_);
 
   ServerConfig config_;
-  std::shared_ptr<db::ChipPool> pool_;
   std::unique_ptr<SharedCatalog> catalog_;
   std::unique_ptr<FairScheduler> scheduler_;
 

@@ -17,7 +17,7 @@ namespace server {
 
 /// One client's session state on the S24 server: a private §9 machine
 /// (buffers, SET PLANNER/BACKEND/FAULTS/DURABILITY all scoped here) whose
-/// engines drive the server's SHARED chip pool, whose reads see a pinned
+/// engines model the server's num_chips chips, whose reads see a pinned
 /// immutable catalog image (snapshot isolation), and whose durable commits
 /// flow through the shared cross-session group-commit pipeline.
 ///
@@ -31,7 +31,7 @@ namespace server {
 /// session-private and the client retries against a fresh snapshot.
 ///
 /// A Session is used by ONE client thread at a time (the server enforces
-/// this); cross-session state (catalog, scheduler, chip pool) is internally
+/// this); cross-session state (catalog, scheduler) is internally
 /// synchronized. That single-driver discipline is why this class carries no
 /// mutex and no GUARDED_BY annotations: the attach/steal protocol in
 /// Server (Slot::attached under the kServer-rank mutex) hands the whole
@@ -40,7 +40,7 @@ namespace server {
 class Session {
  public:
   /// `catalog` and `scheduler` must outlive the session. `config` should
-  /// carry the server's shared_pool and chip count.
+  /// carry the server's chip count.
   Session(uint64_t id, SharedCatalog* catalog, FairScheduler* scheduler,
           machine::MachineConfig config);
 

@@ -9,13 +9,13 @@ namespace machine {
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
       disk_(config_.disk_model),
-      engine_(config_.device, config_.shared_pool) {
+      engine_(config_.device) {
   memories_.reserve(config_.num_memories);
   for (size_t m = 0; m < config_.num_memories; ++m) {
     memories_.emplace_back("mem" + std::to_string(m));
   }
   for (const auto& [kind, device] : config_.device_configs) {
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
+    engines_.emplace(kind, db::Engine(device));
   }
 }
 
@@ -47,11 +47,11 @@ void Machine::SetMemoryPolicy(spad::OverlapPolicy policy) {
 void Machine::RebuildEngines(
     const std::function<void(db::DeviceConfig*)>& edit) {
   edit(&config_.device);
-  engine_ = db::Engine(config_.device, config_.shared_pool);
+  engine_ = db::Engine(config_.device);
   engines_.clear();
   for (auto& [kind, device] : config_.device_configs) {
     edit(&device);
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
+    engines_.emplace(kind, db::Engine(device));
   }
 }
 
@@ -270,7 +270,7 @@ Result<TransactionReport> Machine::Execute(const Transaction& transaction) {
       }
 
       // A planner feed hint pins the feed discipline for this step; the
-      // pinned copy shares the device's chip pool, so this costs no threads.
+      // pinned copy shares the device's chip-health ledger.
       const db::Engine& configured_engine = EngineFor(step.op);
       const db::Engine device_engine =
           step.has_feed_hint ? configured_engine.WithMode(step.feed_hint)

@@ -58,12 +58,6 @@ struct MachineConfig {
   double crossbar_bytes_per_second = 0;
   /// Step-to-device assignment within a level.
   DeviceScheduling scheduling = DeviceScheduling::kRoundRobin;
-  /// When set, every engine of the machine drives THIS worker pool instead
-  /// of spawning its own — the S24 server hands all session machines one
-  /// pool so their passes interleave on the same simulated chips.
-  /// device.num_chips (and any per-kind override) should equal
-  /// shared_pool->num_chips().
-  std::shared_ptr<db::ChipPool> shared_pool;
 };
 
 /// Per-step execution record.
@@ -244,7 +238,7 @@ class Machine {
 
  private:
   /// Applies `edit` to the default device and every per-kind device, then
-  /// rebuilds their engines on the shared chip pool.
+  /// rebuilds their engines.
   void RebuildEngines(const std::function<void(db::DeviceConfig*)>& edit);
   Result<size_t> AllocateModule(const std::string& name);
   double CrossbarBytesPerSecond() const;

@@ -15,8 +15,6 @@ const char* LockRankName(LockRank rank) {
       return "scheduler";
     case LockRank::kSharedCatalog:
       return "shared-catalog";
-    case LockRank::kChipPool:
-      return "chip-pool";
     case LockRank::kChipHealth:
       return "chip-health";
     case LockRank::kWal:
@@ -64,7 +62,7 @@ void CheckAcquire(const Mutex* mu) {
         << LockRankName(mu->rank()) << ") while holding '" << held->name()
         << "' (rank " << LockRankName(held->rank())
         << "); the hierarchy (DESIGN 2.10) is server -> scheduler -> "
-           "shared-catalog -> chip-pool -> chip-health -> wal -> leaf";
+           "shared-catalog -> chip-health -> wal -> leaf";
   }
 }
 

@@ -22,10 +22,9 @@ namespace util {
 ///                  before kSharedCatalog.
 ///   kScheduler     FairScheduler::mutex_ — admission slots + RR backlogs.
 ///   kSharedCatalog SharedCatalog::mutex_ — image publication + commit queue.
-///   kChipPool      ChipPool::mutex_ — batch list + worker wakeups.
 ///   kChipHealth    ChipHealth::mutex_ — strike/quarantine ledger, touched
-///                  from tile tasks running on pool workers (pool mutex NOT
-///                  held: WorkerLoop drops it around the task).
+///                  from tile tasks running on ParallelFor threads (which
+///                  take no lock of their own).
 ///   kWal           DurableCatalog::mutex_ — WAL staging/sealing + catalog
 ///                  application. The group-commit leader calls into it with
 ///                  no other lock held (ProcessBatch runs outside the
@@ -43,7 +42,6 @@ enum class LockRank : int {
   kServer = 100,
   kScheduler = 200,
   kSharedCatalog = 300,
-  kChipPool = 400,
   kChipHealth = 500,
   kWal = 600,
   kLeaf = 1000,
@@ -91,8 +89,8 @@ class CAPABILITY("mutex") Mutex {
 
 /// RAII lock for util::Mutex (SCOPED_CAPABILITY: clang knows the capability
 /// is held from construction to destruction). Relockable: Unlock()/Lock()
-/// support the drop-the-lock-around-slow-work pattern (group-commit leader,
-/// chip-pool workers) without leaving the analysis' sight.
+/// support the drop-the-lock-around-slow-work pattern (group-commit leader)
+/// without leaving the analysis' sight.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu), held_(true) {

@@ -5,7 +5,7 @@
 ///
 /// These macros expose clang's `-Wthread-safety` attribute set so the lock
 /// discipline of the concurrent core (server sessions, fair scheduler,
-/// shared catalog, chip pool, WAL group commit) is PROVABLE at compile time,
+/// shared catalog, chip health, WAL group commit) is PROVABLE at compile time,
 /// the same way the S22 verifier proves plan/schedule invariants before
 /// execution. On gcc (and any compiler without the attributes) every macro
 /// expands to nothing, so the annotated code stays portable; the clang CI

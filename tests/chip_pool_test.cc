@@ -1,89 +1,93 @@
-// ChipPool: the worker pool behind multi-chip tiled execution. Covered
-// here: lifecycle (spawn/join, reuse across many batches), full task
-// coverage under dynamic claiming, exception propagation (deterministic
-// lowest-tile-first), and deterministic engine output under adversarial
-// tile timing — the properties that keep parallel execution bit-identical
-// to serial.
+// ParallelFor: the host threads behind multi-chip tiled execution. Covered
+// here: full task coverage under atomic claiming across worker counts,
+// exception propagation (deterministic lowest-tile-first), deterministic
+// engine output under adversarial tile timing — the properties that keep
+// parallel execution bit-identical to serial — and the thread footprint:
+// modeled chips cost no host threads until an operation runs, and then at
+// most min(chips, host threads).
 
-#include "core/chip_pool.h"
+#include "core/chips.h"
 
+#include <dirent.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
 #include "relational/generator.h"
+#include "system/machine.h"
 #include "test_util.h"
+#include "util/mutex.h"
 
 namespace systolic {
 namespace db {
 namespace {
 
-TEST(ChipPoolTest, ConstructAndDestructAcrossSizes) {
-  for (size_t chips : {size_t{0}, size_t{1}, size_t{2}, size_t{5}, size_t{8}}) {
-    ChipPool pool(chips);
-    EXPECT_EQ(pool.num_chips(), std::max<size_t>(1, chips));
+TEST(ChipPoolTest, EveryTaskRunsOnceAcrossWorkerCounts) {
+  for (size_t workers :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{5}, size_t{8}}) {
+    std::vector<std::atomic<int>> runs(10);
+    ParallelFor(runs.size(), workers, [&](size_t task) { runs[task]++; });
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "workers " << workers << " task " << i;
+    }
   }
 }
 
 TEST(ChipPoolTest, ZeroTasksIsANoOp) {
-  ChipPool pool(3);
-  pool.RunAll(0, [](size_t, size_t) { FAIL() << "no task should run"; });
+  ParallelFor(0, 3, [](size_t) { FAIL() << "no task should run"; });
 }
 
 TEST(ChipPoolTest, EveryTaskRunsExactlyOnce) {
-  ChipPool pool(4);
   constexpr size_t kTasks = 64;
   std::vector<std::atomic<int>> runs(kTasks);
-  pool.RunAll(kTasks, [&](size_t task, size_t chip) {
-    EXPECT_LT(chip, 4u);
-    runs[task].fetch_add(1);
-  });
+  ParallelFor(kTasks, 4, [&](size_t task) { runs[task].fetch_add(1); });
   for (size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "task " << i;
   }
 }
 
 TEST(ChipPoolTest, ReusableAcrossManyBatches) {
-  ChipPool pool(3);
   std::atomic<size_t> total{0};
   for (int batch = 0; batch < 50; ++batch) {
-    pool.RunAll(7, [&](size_t, size_t) { total.fetch_add(1); });
+    ParallelFor(7, 3, [&](size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 350u);
 }
 
 TEST(ChipPoolTest, MoreChipsThanTasks) {
-  ChipPool pool(8);
   std::atomic<size_t> total{0};
-  pool.RunAll(2, [&](size_t, size_t) { total.fetch_add(1); });
+  ParallelFor(2, 8, [&](size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 2u);
 }
 
 TEST(ChipPoolTest, WorkerExceptionPropagatesToCaller) {
-  ChipPool pool(2);
   std::atomic<size_t> completed{0};
-  EXPECT_THROW(
-      pool.RunAll(16,
-                  [&](size_t task, size_t) {
-                    if (task == 9) throw std::runtime_error("chip fault");
-                    completed.fetch_add(1);
-                  }),
-      std::runtime_error);
+  EXPECT_THROW(ParallelFor(16, 2,
+                           [&](size_t task) {
+                             if (task == 9) {
+                               throw std::runtime_error("chip fault");
+                             }
+                             completed.fetch_add(1);
+                           }),
+               std::runtime_error);
   // Every non-throwing task still ran: one fault does not strand the batch.
   EXPECT_EQ(completed.load(), 15u);
 }
 
 TEST(ChipPoolTest, LowestTileExceptionWinsDeterministically) {
-  ChipPool pool(4);
   for (int round = 0; round < 10; ++round) {
     try {
-      pool.RunAll(12, [&](size_t task, size_t) {
+      ParallelFor(12, 4, [&](size_t task) {
         // Several tiles fault; higher tiles fault *sooner* (no sleep), so a
-        // naive first-to-fail rule would report tile 11. The pool must
+        // naive first-to-fail rule would report tile 11. ParallelFor must
         // still surface tile 3's exception.
         if (task == 3) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -99,24 +103,22 @@ TEST(ChipPoolTest, LowestTileExceptionWinsDeterministically) {
 }
 
 TEST(ChipPoolTest, PoolUsableAfterException) {
-  ChipPool pool(2);
-  EXPECT_THROW(pool.RunAll(4,
-                           [](size_t task, size_t) {
+  EXPECT_THROW(ParallelFor(4, 2,
+                           [](size_t task) {
                              if (task == 0) throw std::runtime_error("fault");
                            }),
                std::runtime_error);
   std::atomic<size_t> total{0};
-  pool.RunAll(4, [&](size_t, size_t) { total.fetch_add(1); });
+  ParallelFor(4, 2, [&](size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 4u);
 }
 
 TEST(ChipPoolTest, ResultsLandInTileSlotsUnderAdversarialTiming) {
   // Later tiles finish first (sleep inversely proportional to index); the
   // per-slot discipline must still leave result i in slot i.
-  ChipPool pool(4);
   constexpr size_t kTasks = 12;
   std::vector<size_t> slots(kTasks, SIZE_MAX);
-  pool.RunAll(kTasks, [&](size_t task, size_t) {
+  ParallelFor(kTasks, 4, [&](size_t task) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(200 * (kTasks - task)));
     slots[task] = task * task;
@@ -163,11 +165,10 @@ TEST(ChipPoolTest, EngineOutputDeterministicAcrossRepetitions) {
   EXPECT_EQ(expected->stats.makespan_cycles, expected->stats.cycles);
 }
 
-// --- Concurrent batches (DESIGN S24): several RunAll callers share one
-// pool; workers interleave tasks round-robin across the live batches. ---
+// --- Concurrent calls (DESIGN S24): sessions of the server each run their
+// own ParallelFor; the calls share nothing but the host. ---
 
 TEST(ChipPoolTest, ConcurrentBatchesAllCompleteWithFullCoverage) {
-  ChipPool pool(4);
   constexpr size_t kCallers = 6;
   constexpr size_t kTasks = 32;
   std::vector<std::vector<std::atomic<int>>> runs(kCallers);
@@ -176,11 +177,9 @@ TEST(ChipPoolTest, ConcurrentBatchesAllCompleteWithFullCoverage) {
   }
   std::vector<std::thread> callers;
   for (size_t c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &runs, c] {
-      pool.RunAll(kTasks, [&runs, c](size_t task, size_t chip) {
-        EXPECT_LT(chip, 4u);
-        runs[c][task].fetch_add(1);
-      });
+    callers.emplace_back([&runs, c] {
+      ParallelFor(kTasks, 4,
+                  [&runs, c](size_t task) { runs[c][task].fetch_add(1); });
     });
   }
   for (std::thread& thread : callers) thread.join();
@@ -192,19 +191,18 @@ TEST(ChipPoolTest, ConcurrentBatchesAllCompleteWithFullCoverage) {
 }
 
 TEST(ChipPoolTest, ExceptionInOneBatchLeavesConcurrentBatchIntact) {
-  ChipPool pool(2);
   std::atomic<size_t> clean_total{0};
-  std::thread faulty([&pool] {
-    EXPECT_THROW(pool.RunAll(16,
-                             [](size_t task, size_t) {
+  std::thread faulty([] {
+    EXPECT_THROW(ParallelFor(16, 2,
+                             [](size_t task) {
                                if (task == 5) {
                                  throw std::runtime_error("chip fault");
                                }
                              }),
                  std::runtime_error);
   });
-  std::thread clean([&pool, &clean_total] {
-    pool.RunAll(16, [&clean_total](size_t, size_t) {
+  std::thread clean([&clean_total] {
+    ParallelFor(16, 2, [&clean_total](size_t) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
       clean_total.fetch_add(1);
     });
@@ -215,28 +213,149 @@ TEST(ChipPoolTest, ExceptionInOneBatchLeavesConcurrentBatchIntact) {
 }
 
 TEST(ChipPoolTest, ShortBatchIsNotStarvedByLongBatch) {
-  // Round-robin claiming: a 4-task batch arriving alongside a 200-task
-  // batch must finish long before the big one drains — the pool serves
-  // batches fairly at task granularity rather than FIFO draining.
-  ChipPool pool(2);
+  // Each call runs on threads of its own, so a 4-task call started beside a
+  // 200-task call returns long before the big one drains.
   std::atomic<size_t> long_done{0};
   std::atomic<size_t> long_done_when_short_finished{SIZE_MAX};
   std::thread long_caller([&] {
-    pool.RunAll(200, [&](size_t, size_t) {
+    ParallelFor(200, 2, [&](size_t) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
       long_done.fetch_add(1);
     });
   });
   std::thread short_caller([&] {
-    // Give the long batch a head start so it is already running.
+    // Give the long call a head start so it is already running.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    pool.RunAll(4, [](size_t, size_t) {});
+    ParallelFor(4, 2, [](size_t) {});
     long_done_when_short_finished = long_done.load();
   });
   long_caller.join();
   short_caller.join();
   EXPECT_LT(long_done_when_short_finished.load(), 200u)
-      << "short batch waited for the whole long batch";
+      << "short call waited for the whole long call";
+}
+
+// --- Thread footprint: chips are modeled, not started. ---
+
+/// Threads of this process, counted from /proc/self/task.
+size_t ThreadCount() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t threads = 0;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
+  }
+  closedir(dir);
+  return threads;
+}
+
+TEST(ChipPoolTest, ConstructionAndRebuildsStartNoThreads) {
+  const size_t before = ThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/task is unreadable";
+
+  DeviceConfig device;
+  device.rows = 31;
+  device.num_chips = 64;
+  Engine engine(device);
+  EXPECT_EQ(ThreadCount(), before) << "a 64-chip Engine started threads";
+
+  machine::MachineConfig config;
+  config.device = device;
+  config.device_configs[machine::OpKind::kIntersect] = device;
+  config.device_configs[machine::OpKind::kJoin] = device;
+  machine::Machine machine(config);
+  EXPECT_EQ(ThreadCount(), before) << "a 64-chip Machine started threads";
+
+  for (int rebuild = 0; rebuild < 10; ++rebuild) {
+    machine.SetBackendPolicy(rebuild % 2 == 0 ? fastpath::BackendPolicy::kFast
+                                              : fastpath::BackendPolicy::kRtl);
+    machine.SetMemoryPolicy(rebuild % 2 == 0 ? spad::OverlapPolicy::kOff
+                                             : spad::OverlapPolicy::kOn);
+  }
+  EXPECT_EQ(ThreadCount(), before) << "engine rebuilds started threads";
+}
+
+TEST(ChipPoolTest, WorkersCappedByHostThreads) {
+  const size_t host = std::max(1u, std::thread::hardware_concurrency());
+  util::Mutex mutex(util::LockRank::kLeaf, "thread-ids");
+  std::set<std::thread::id> ids;
+  std::vector<std::atomic<int>> runs(256);
+  ParallelFor(runs.size(), 64, [&](size_t task) {
+    runs[task]++;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    util::MutexLock lock(&mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  for (size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), std::min<size_t>(64, host));
+}
+
+TEST(ChipPoolTest, SixtyFourChipsMatchOneChip) {
+  const rel::Schema schema = rel::MakeIntSchema(3);
+  rel::PairOptions options;
+  options.base.num_tuples = 256;
+  options.base.domain_size = 16;
+  options.base.seed = 64;
+  options.b_num_tuples = 256;
+  options.overlap_fraction = 0.4;
+  auto pair = rel::GenerateOverlappingPair(schema, options);
+  ASSERT_OK(pair);
+
+  DeviceConfig one;
+  one.rows = 31;  // marching capacity 16: 16 x 16 = 256 tiles
+  one.backend = fastpath::BackendPolicy::kFast;
+  DeviceConfig many = one;
+  many.num_chips = 64;
+  auto serial = Engine(one).Intersect(pair->a, pair->b);
+  auto parallel = Engine(many).Intersect(pair->a, pair->b);
+  auto again = Engine(many).Intersect(pair->a, pair->b);
+  ASSERT_OK(serial);
+  ASSERT_OK(parallel);
+  ASSERT_OK(again);
+
+  const ExecStats& s = serial->stats;
+  const ExecStats& p = parallel->stats;
+  EXPECT_GE(s.passes, 64u);
+  EXPECT_EQ(parallel->relation.tuples(), serial->relation.tuples());
+  EXPECT_EQ(p.passes, s.passes);
+  EXPECT_EQ(p.cycles, s.cycles);
+  EXPECT_EQ(p.busy_cell_cycles, s.busy_cell_cycles);
+  EXPECT_EQ(p.num_chips, 64u);
+
+  // The 64-chip makespan is the tile-order greedy schedule of the 1-chip
+  // run's passes: each pass goes to the chip that frees up first.
+  std::vector<size_t> chip_busy(64, 0);
+  for (const spad::DmaEvent& event : s.dma_trace) {
+    if (event.command.op != spad::DmaOp::kCompute) continue;
+    *std::min_element(chip_busy.begin(), chip_busy.end()) +=
+        event.command.cycles;
+  }
+  EXPECT_EQ(p.makespan_cycles,
+            *std::max_element(chip_busy.begin(), chip_busy.end()));
+  EXPECT_LT(p.makespan_cycles, s.makespan_cycles);
+
+  // The same DMA commands (tile, op, pulses, bytes), spread over the chips;
+  // only the banks each chip's queue alternates between differ.
+  const auto commands = [](const ExecStats& stats) {
+    std::vector<std::tuple<size_t, int, size_t, double>> out;
+    for (const spad::DmaEvent& event : stats.dma_trace) {
+      const spad::DmaCommand& c = event.command;
+      out.emplace_back(c.tile, static_cast<int>(c.op), c.cycles, c.bytes);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(commands(p), commands(s));
+  EXPECT_EQ(p.dma_cycles, s.dma_cycles);
+  EXPECT_LT(p.memory_makespan_cycles, s.memory_makespan_cycles);
+
+  // A second 64-chip run reproduces every schedule-derived counter.
+  EXPECT_EQ(again->relation.tuples(), serial->relation.tuples());
+  EXPECT_EQ(again->stats.makespan_cycles, p.makespan_cycles);
+  EXPECT_EQ(again->stats.memory_makespan_cycles, p.memory_makespan_cycles);
+  EXPECT_EQ(again->stats.overlap_cycles, p.overlap_cycles);
+  EXPECT_EQ(again->stats.dma_trace, p.dma_trace);
 }
 
 // --- ChipHealth: the strike/quarantine ledger behind the fault-tolerant

@@ -19,7 +19,6 @@ TEST(LockRankTest, NamesAreCanonical) {
   EXPECT_STREQ(LockRankName(LockRank::kServer), "server");
   EXPECT_STREQ(LockRankName(LockRank::kScheduler), "scheduler");
   EXPECT_STREQ(LockRankName(LockRank::kSharedCatalog), "shared-catalog");
-  EXPECT_STREQ(LockRankName(LockRank::kChipPool), "chip-pool");
   EXPECT_STREQ(LockRankName(LockRank::kChipHealth), "chip-health");
   EXPECT_STREQ(LockRankName(LockRank::kWal), "wal");
   EXPECT_STREQ(LockRankName(LockRank::kLeaf), "leaf");
